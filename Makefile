@@ -27,7 +27,8 @@ check:
 
 # The CI short lane, exactly as .github/workflows/ci.yml runs it:
 # both vet flavours, both builds, the API-surface gate and the -short
-# test suite. `make check` remains the full gate (-race, cluster e2e).
+# test suite, and the benchmark module's tests. `make check` remains
+# the full gate (-race, cluster e2e).
 ci:
 	$(GO) vet ./...
 	$(GO) vet -tags abstelemetryoff ./...
@@ -35,6 +36,7 @@ ci:
 	$(GO) build -tags abstelemetryoff ./...
 	sh scripts/apicheck.sh
 	$(GO) test -short ./...
+	cd perfbench && $(GO) test ./...
 
 # API-surface gate alone; APICHECK_UPDATE=1 make apicheck regenerates
 # the snapshot after an intentional change.

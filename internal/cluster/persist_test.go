@@ -42,10 +42,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("Publish: %v", err)
 	}
 	held := targetSet(mustLease(t, c, "a", 3))
+	// Read the status before the checkpoint: the checkpoint then records
+	// an Elapsed no smaller than preBest's, however long the scheduler
+	// delays this goroutine between the two calls.
+	preBest := c.Status()
 	if err := c.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	preBest := c.Status()
 	// Crash: the old coordinator is simply abandoned (Close would be a
 	// clean shutdown; a crash writes nothing further). Close it only at
 	// test end so its janitor dies.

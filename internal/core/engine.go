@@ -143,13 +143,16 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 	}
 	var newState func() qubo.Engine
 	var evaluatedPerFlip float64
+	var adm *Gate
 	if storage == StorageSparse {
 		sp := qubo.Sparsify(p)
 		newState = func() qubo.Engine { return qubo.NewSparseZeroState(sp) }
 		evaluatedPerFlip = 1 + sp.AvgDegree()
+		adm = newSparseGate(sp, opt.TrustPublications)
 	} else {
 		newState = func() qubo.Engine { return qubo.NewZeroState(p) }
 		evaluatedPerFlip = float64(n)
+		adm = NewGate(p, opt.TrustPublications)
 	}
 
 	// Backend selection: the registered solver program every unit runs
@@ -258,7 +261,7 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		deviceBlock(bc, be.NewUnit(bc.GlobalBlock), opt, targets, solutions, stats, metrics)
 	}
 	e.gate = &ingestGate{
-		adm:          NewGate(p, opt.TrustPublications),
+		adm:          adm,
 		activeBlocks: blocksPerDevice,
 		totalBlocks:  totalSlots,
 		metrics:      metrics,

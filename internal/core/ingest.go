@@ -42,9 +42,12 @@ const (
 // That re-evaluation is the one deliberate deviation from §3.1; see
 // DESIGN.md "Fault model & substitutions".
 type Gate struct {
-	p     *qubo.Problem
-	n     int
-	trust bool
+	// energy is the exact E(x) the recheck compares claims against:
+	// Problem.Energy, or Sparse.Energy when the instance already has an
+	// adjacency view (O(nnz) instead of O(n²)).
+	energy func(*bitvec.Vector) int64
+	n      int
+	trust  bool
 	// quarantined is atomic so live status readers (Engine.Snapshot,
 	// the serve job endpoints, the cluster status plane) can observe it
 	// while the owning goroutine keeps ingesting.
@@ -54,7 +57,14 @@ type Gate struct {
 // NewGate returns a gate for publications against p. trust recovers
 // the paper's pure §3.1 protocol (no host-side energy recheck).
 func NewGate(p *qubo.Problem, trust bool) *Gate {
-	return &Gate{p: p, n: p.N(), trust: trust}
+	return &Gate{energy: p.Energy, n: p.N(), trust: trust}
+}
+
+// newSparseGate is NewGate for an engine on sparse storage: the
+// recheck reuses the adjacency view the blocks already search, whose
+// Energy agrees exactly with Problem.Energy at a fraction of its cost.
+func newSparseGate(sp *qubo.Sparse, trust bool) *Gate {
+	return &Gate{energy: sp.Energy, n: sp.N(), trust: trust}
 }
 
 // Quarantined returns how many publications the gate has refused for
@@ -81,7 +91,7 @@ func (g *Gate) Vet(pool *ga.Pool, x *bitvec.Vector, e int64) Verdict {
 	if !pool.WouldAdmit(x, e) {
 		return VerdictPool
 	}
-	if !g.trust && g.p.Energy(x) != e {
+	if !g.trust && g.energy(x) != e {
 		g.quarantined.Add(1)
 		return VerdictEnergy
 	}

@@ -10,63 +10,101 @@
 //
 //   - the φ(x_i) = 1−2x_i factors of Eq. (6) are kept as a pre-scaled
 //     sign array sgnc[i] = 2·(1−2x_i) ∈ {+2, −2}, so the per-element
-//     work is one widening multiply and one add — no bit extraction;
+//     work is one multiply and one add — no bit extraction;
 //   - the update runs over 64-element row tiles and records only each
 //     tile's minimum VALUE; the argmin's index (the tie-break) is
 //     resolved lazily, once, by rescanning the single winning tile —
 //     the reduction cost is amortized across the whole batch instead
 //     of being paid per element (cuGenOpt and the GPU-SA-for-QAP work
 //     use exactly this batched-delta structure, see PAPERS.md);
-//   - on amd64 with AVX2 the tile body is hand-written assembly
-//     (flip_avx2_amd64.s); everywhere else a pure-Go tile loop with
-//     hoisted bounds checks is used.
+//   - the Δ register file is 32-bit, as in the paper's kernel (§3.2),
+//     so one AVX2 register holds eight lanes and VPMINSD tracks the
+//     running minimum; qubo proves the width exact for every supported
+//     instance size.
 //
-// Both implementations compute bit-for-bit what the scalar loop
+// The primitives are generic over the register width. int32 register
+// files run the hand-written AVX2 bodies (flip_avx2_amd64.s) on amd64
+// hosts that support them; int64 register files, and every register
+// file elsewhere, run the portable Go loops.
+//
+// Every implementation computes bit for bit what the scalar loop
 // computes: the same deltas, the same minimum value, and — because
 // tiles are scanned in ascending index order with a strictly-smaller
 // comparison — the same first-occurrence tie-break. The agreement
 // tests and the qubo-level fuzz target are the evidence.
 package dkernel
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // TileWidth is the row-tile size of the batched kernel: 64 elements
-// keep one tile of deltas (512 B) plus its row slice (128 B) and sign
-// slice (128 B) inside two cache lines' worth of streaming per stride,
-// and make the per-flip tile-minima buffer n/64 entries — small enough
-// that scanning it is noise next to the tile pass itself.
+// keep one tile of int32 deltas (256 B) plus its row slice (128 B) and
+// sign slice (128 B) within a few cache lines per stride, and make the
+// per-flip tile-minima buffer n/64 entries — small enough that
+// scanning it is noise next to the tile pass itself.
 const TileWidth = 64
+
+// Delta is the element type of a Δ register file.
+type Delta interface{ ~int32 | ~int64 }
+
+// maxOf returns the largest value of T: the minimum of an empty
+// segment, and the value that can never win a minimum because every
+// real Δ is strictly below it.
+func maxOf[T Delta]() T {
+	max := int64(math.MaxInt64)
+	if unsafe.Sizeof(T(0)) == 4 {
+		max = math.MaxInt32
+	}
+	return T(max)
+}
+
+// as32 views an int32-wide register file as []int32 for the assembly
+// bodies; ok is false for int64-wide files.
+func as32[T Delta](d []T) (d32 []int32, ok bool) {
+	if unsafe.Sizeof(T(0)) != 4 {
+		return nil, false
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(d))), len(d)), true
+}
 
 // FlipTiles applies one flip's delta updates over d in batched tiles:
 //
-//	d[i] += sign · int64(sgnc[i]) · int64(row[i])   sign = −1 if neg
+//	d[i] += sign · sgnc[i] · row[i]   sign = −1 if neg
 //
 // for every i in [0, len(d)), where sgnc carries the pre-scaled φ
 // factors (±2, with Eq. (6)'s factor 2 folded in; a 0 entry makes the
 // element inert — the sentinel used to exclude the flipped bit). The
-// minimum of each complete TileWidth-element tile is written to
-// tmins[t]; the function returns the minimum over the ragged tail
-// beyond the last full tile (math.MaxInt64 when the tail is empty).
+// product |sgnc·row| ≤ 2¹⁶ is formed in int32, and every updated
+// value must fit T (the caller's width argument). The minimum of each
+// complete TileWidth-element tile is written to tmins[t]; the function
+// returns the minimum over the ragged tail beyond the last full tile
+// (the largest T when the tail is empty).
 //
 // len(row) and len(sgnc) must equal len(d); len(tmins) must be at
 // least len(d)/TileWidth.
-func FlipTiles(d []int64, row []int16, sgnc []int16, tmins []int64, neg bool) int64 {
+func FlipTiles[T Delta](d []T, row []int16, sgnc []int16, tmins []T, neg bool) T {
 	nt := len(d) / TileWidth
-	if nt > 0 && hasAccel {
-		flipTilesAccel(d, row, sgnc, tmins, nt, neg)
-	} else if nt > 0 {
-		flipTilesGeneric(d[:nt*TileWidth], row, sgnc, tmins, neg)
+	if nt > 0 {
+		d32, ok := as32(d)
+		if ok && hasAccel {
+			t32, _ := as32(tmins)
+			flipTilesAccel(d32, row, sgnc, t32, nt, neg)
+		} else {
+			flipTilesGeneric(d[:nt*TileWidth], row, sgnc, tmins, neg)
+		}
 	}
 	return flipTail(d, row, sgnc, nt*TileWidth, neg)
 }
 
 // flipTail is the scalar epilogue over [lo, len(d)); it returns the
 // minimum of the updated tail values.
-func flipTail(d []int64, row []int16, sgnc []int16, lo int, neg bool) int64 {
-	min := int64(math.MaxInt64)
+func flipTail[T Delta](d []T, row []int16, sgnc []int16, lo int, neg bool) T {
+	min := maxOf[T]()
 	if neg {
 		for i := lo; i < len(d); i++ {
-			v := d[i] - int64(int32(sgnc[i])*int32(row[i]))
+			v := d[i] - T(int32(sgnc[i])*int32(row[i]))
 			d[i] = v
 			if v < min {
 				min = v
@@ -74,7 +112,7 @@ func flipTail(d []int64, row []int16, sgnc []int16, lo int, neg bool) int64 {
 		}
 	} else {
 		for i := lo; i < len(d); i++ {
-			v := d[i] + int64(int32(sgnc[i])*int32(row[i]))
+			v := d[i] + T(int32(sgnc[i])*int32(row[i]))
 			d[i] = v
 			if v < min {
 				min = v
@@ -87,17 +125,17 @@ func flipTail(d []int64, row []int16, sgnc []int16, lo int, neg bool) int64 {
 // flipTilesGeneric is the portable tile loop: full tiles only, bounds
 // checks hoisted by explicit slice reshaping so the compiler keeps the
 // inner body branch-free apart from the running tile minimum.
-func flipTilesGeneric(d []int64, row []int16, sgnc []int16, tmins []int64, neg bool) {
+func flipTilesGeneric[T Delta](d []T, row []int16, sgnc []int16, tmins []T, neg bool) {
 	nt := len(d) / TileWidth
 	for t := 0; t < nt; t++ {
 		lo := t * TileWidth
 		dt := d[lo : lo+TileWidth : lo+TileWidth]
 		rt := row[lo : lo+TileWidth : lo+TileWidth]
 		st := sgnc[lo : lo+TileWidth : lo+TileWidth]
-		min := int64(math.MaxInt64)
+		min := maxOf[T]()
 		if neg {
 			for i := range dt {
-				v := dt[i] - int64(int32(st[i])*int32(rt[i]))
+				v := dt[i] - T(int32(st[i])*int32(rt[i]))
 				dt[i] = v
 				if v < min {
 					min = v
@@ -105,7 +143,7 @@ func flipTilesGeneric(d []int64, row []int16, sgnc []int16, tmins []int64, neg b
 			}
 		} else {
 			for i := range dt {
-				v := dt[i] + int64(int32(st[i])*int32(rt[i]))
+				v := dt[i] + T(int32(st[i])*int32(rt[i]))
 				dt[i] = v
 				if v < min {
 					min = v
@@ -116,26 +154,25 @@ func flipTilesGeneric(d []int64, row []int16, sgnc []int16, tmins []int64, neg b
 	}
 }
 
-// MinVal returns the minimum value of d, or math.MaxInt64 when d is
-// empty. It is the value half of the window-candidate scan: selection
+// accelMinLen is the shortest segment the assembly scans accept: one
+// full 8-lane vector, so a ragged end can be covered by an overlapping
+// final load instead of a scalar epilogue.
+const accelMinLen = 8
+
+// MinVal returns the minimum value of d, or the largest T when d is
+// empty.
+// It is the value half of the window-candidate scan: selection
 // policies find the window minimum's VALUE in a batched pass and
 // resolve its position with FirstEq only where it is actually needed.
-func MinVal(d []int64) int64 {
-	if len(d) >= minAccelThreshold && hasAccel {
-		nv := len(d) &^ 7
-		min := minValAccel(d[:nv])
-		for _, v := range d[nv:] {
-			if v < min {
-				min = v
-			}
-		}
-		return min
+func MinVal[T Delta](d []T) T {
+	if d32, ok := as32(d); ok && hasAccel && len(d) >= accelMinLen {
+		return T(minValAccel(d32))
 	}
 	return minValGeneric(d)
 }
 
-func minValGeneric(d []int64) int64 {
-	min := int64(math.MaxInt64)
+func minValGeneric[T Delta](d []T) T {
+	min := maxOf[T]()
 	for _, v := range d {
 		if v < min {
 			min = v
@@ -148,23 +185,14 @@ func minValGeneric(d []int64) int64 {
 // with MinVal it reproduces exactly the ascending strictly-smaller
 // argmin scan: the first occurrence of the minimum value is the index
 // that scan would keep.
-func FirstEq(d []int64, v int64) int {
-	if len(d) >= minAccelThreshold && hasAccel {
-		nv := len(d) &^ 3
-		if idx := firstEqAccel(d[:nv], v); idx >= 0 {
-			return idx
-		}
-		for i := nv; i < len(d); i++ {
-			if d[i] == v {
-				return i
-			}
-		}
-		return -1
+func FirstEq[T Delta](d []T, v T) int {
+	if d32, ok := as32(d); ok && hasAccel && len(d) >= accelMinLen {
+		return firstEqAccel(d32, int32(v))
 	}
 	return firstEqGeneric(d, v)
 }
 
-func firstEqGeneric(d []int64, v int64) int {
+func firstEqGeneric[T Delta](d []T, v T) int {
 	for i, x := range d {
 		if x == v {
 			return i
@@ -173,26 +201,23 @@ func firstEqGeneric(d []int64, v int64) int {
 	return -1
 }
 
-// minAccelThreshold is the slice length below which the call overhead
-// of the assembly routines beats their per-element advantage.
-const minAccelThreshold = 16
-
 // MinFirst returns the first index attaining the minimum of d and that
-// minimum, or (−1, math.MaxInt64) when d is empty — the batched
+// minimum, or (−1, the largest T) when d is empty — the batched
 // equivalent of `for i { if d[i] < best }`.
-func MinFirst(d []int64) (int, int64) {
+func MinFirst[T Delta](d []T) (int, T) {
 	if len(d) == 0 {
-		return -1, math.MaxInt64
+		return -1, maxOf[T]()
 	}
 	v := MinVal(d)
 	return FirstEq(d, v), v
 }
 
 // Accelerated reports whether an architecture-specific kernel is
-// active (false means the portable Go tiles are in use).
+// active for int32 register files (false means the portable Go loops
+// are in use).
 func Accelerated() bool { return hasAccel }
 
-// Name identifies the active kernel implementation ("avx2" or
+// Name identifies the kernel int32 register files run ("avx2" or
 // "generic"); reports embed it so a measurement is self-describing.
 func Name() string {
 	if hasAccel {

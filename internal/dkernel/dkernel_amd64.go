@@ -10,35 +10,35 @@ var (
 )
 
 // flipTilesAccel processes nt complete tiles with the AVX2 kernel.
-func flipTilesAccel(d []int64, row []int16, sgnc []int16, tmins []int64, nt int, neg bool) {
+func flipTilesAccel(d []int32, row []int16, sgnc []int16, tmins []int32, nt int, neg bool) {
 	n := int64(0)
 	if neg {
 		n = 1
 	}
-	flipTilesAVX2(&d[0], &row[0], &sgnc[0], &tmins[0], int64(nt), n)
+	flipTiles32AVX2(&d[0], &row[0], &sgnc[0], &tmins[0], int64(nt), n)
 }
 
-// minValAccel requires len(d) to be a positive multiple of 8.
-func minValAccel(d []int64) int64 {
-	return minVal64AVX2(&d[0], int64(len(d)))
+// minValAccel requires len(d) >= accelMinLen.
+func minValAccel(d []int32) int32 {
+	return minVal32AVX2(&d[0], int64(len(d)))
 }
 
-// firstEqAccel requires len(d) to be a positive multiple of 4; it
-// returns −1 when v does not occur.
-func firstEqAccel(d []int64, v int64) int {
-	return int(firstEq64AVX2(&d[0], int64(len(d)), v))
+// firstEqAccel requires len(d) >= accelMinLen; it returns −1 when v
+// does not occur.
+func firstEqAccel(d []int32, v int32) int {
+	return int(firstEq32AVX2(&d[0], int64(len(d)), v))
 }
 
 // Assembly routines (flip_avx2_amd64.s).
 //
 //go:noescape
-func flipTilesAVX2(d *int64, row *int16, sgnc *int16, tmins *int64, nTiles int64, neg int64)
+func flipTiles32AVX2(d *int32, row *int16, sgnc *int16, tmins *int32, nTiles int64, neg int64)
 
 //go:noescape
-func minVal64AVX2(d *int64, n int64) int64
+func minVal32AVX2(d *int32, n int64) int32
 
 //go:noescape
-func firstEq64AVX2(d *int64, n int64, v int64) int64
+func firstEq32AVX2(d *int32, n int64, v int32) int64
 
 // CPUID probes (cpu_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -10,14 +10,14 @@ const (
 	accelName = "generic"
 )
 
-func flipTilesAccel(d []int64, row []int16, sgnc []int16, tmins []int64, nt int, neg bool) {
+func flipTilesAccel(d []int32, row []int16, sgnc []int16, tmins []int32, nt int, neg bool) {
 	panic("dkernel: no accelerated kernel on this architecture")
 }
 
-func minValAccel(d []int64) int64 {
+func minValAccel(d []int32) int32 {
 	panic("dkernel: no accelerated kernel on this architecture")
 }
 
-func firstEqAccel(d []int64, v int64) int {
+func firstEqAccel(d []int32, v int32) int {
 	panic("dkernel: no accelerated kernel on this architecture")
 }

@@ -1,19 +1,20 @@
-// AVX2 tile kernels for the batched delta-evaluation path. The layout
-// mirrors the Go generic implementation tile for tile; the agreement
-// tests in dkernel_test.go assert bit-for-bit identical results.
+// AVX2 kernels for int32 Δ register files: eight lanes per YMM
+// register. The tile layout mirrors the portable Go implementation
+// tile for tile; the agreement tests in dkernel_test.go assert
+// bit-for-bit identical results.
 #include "textflag.h"
 
-// func flipTilesAVX2(d *int64, row *int16, sgnc *int16, tmins *int64, nTiles int64, neg int64)
+// func flipTiles32AVX2(d *int32, row *int16, sgnc *int16, tmins *int32, nTiles int64, neg int64)
 //
 // For t in [0, nTiles), over the tile's 64 elements:
 //
 //	d[i] += int32(sgnc[i]) * int32(row[i]) * (neg != 0 ? -1 : +1)
 //	tmins[t] = min over the tile of the updated d[i]
 //
-// sgnc is pre-scaled (±2 or the 0 sentinel), so the int32 product
-// |2·w| ≤ 2¹⁶ never overflows, and the int64 accumulation inherits the
-// width argument made in qubo.State.
-TEXT ·flipTilesAVX2(SB), NOSPLIT, $0-48
+// sgnc is pre-scaled (±2 or the 0 sentinel), so the product
+// |2·w| ≤ 2¹⁶ never overflows, and the accumulation is exact by the
+// width bound qubo asserts for its register files.
+TEXT ·flipTiles32AVX2(SB), NOSPLIT, $0-48
 	MOVQ d+0(FP), DI
 	MOVQ row+8(FP), SI
 	MOVQ sgnc+16(FP), DX
@@ -30,17 +31,17 @@ pos:
 	MOVQ BX, X15
 	VPBROADCASTD X15, Y15
 
-	PCMPEQL X13, X13
-	VPBROADCASTQ X13, Y13   // Y13 = all ones; >>1 yields MaxInt64 seeds
+	VPCMPEQD Y13, Y13, Y13
+	VPSRLD $1, Y13, Y13     // Y13 = MaxInt32 ×8, the min accumulators' seed
 
 tileloop:
 	TESTQ CX, CX
 	JZ done
 
-	VPSRLQ $1, Y13, Y14     // min accumulator A = MaxInt64 ×4
-	VPSRLQ $1, Y13, Y12     // min accumulator B = MaxInt64 ×4
+	VMOVDQU Y13, Y14        // min accumulator A
+	VMOVDQU Y13, Y12        // min accumulator B
 
-	// Pull the next tiles' row bytes toward the core while this tile
+	// Pull the next tile's row bytes toward the core while this tile
 	// computes: the row streams once per flip from L2/L3/DRAM and is
 	// the kernel's only non-resident operand at paper-shape n (d and
 	// sgnc stay cache-resident between flips).
@@ -52,59 +53,38 @@ group:
 	// elements g+0 .. g+7
 	VPMOVSXWD (SI), Y0      // 8 × int32 row
 	VPMOVSXWD (DX), Y1      // 8 × int32 sgnc
-	VPMULLD Y1, Y0, Y2      // products (|v| ≤ 2¹⁶)
-	VPSIGND Y15, Y2, Y2     // apply the flip sign
-	VPMOVSXDQ X2, Y3        // widen low 4 to int64
-	VEXTRACTI128 $1, Y2, X4
-	VPMOVSXDQ X4, Y5        // widen high 4 to int64
-	VMOVDQU (DI), Y6
-	VMOVDQU 32(DI), Y7
-	VPADDQ Y3, Y6, Y6
-	VPADDQ Y5, Y7, Y7
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y7, 32(DI)
-	VPCMPGTQ Y6, Y14, Y8    // accumulate running minima (two chains
-	VBLENDVPD Y8, Y6, Y14, Y14 // so the cmp/blend latency overlaps)
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
+	VPMULLD Y1, Y0, Y0      // products (|v| ≤ 2¹⁶)
+	VPSIGND Y15, Y0, Y0     // apply the flip sign
+	VPADDD (DI), Y0, Y0
+	VMOVDQU Y0, (DI)
+	VPMINSD Y0, Y14, Y14
 
-	// elements g+8 .. g+15
-	VPMOVSXWD 16(SI), Y0
-	VPMOVSXWD 16(DX), Y1
-	VPMULLD Y1, Y0, Y2
+	// elements g+8 .. g+15, on the second accumulator
+	VPMOVSXWD 16(SI), Y2
+	VPMOVSXWD 16(DX), Y3
+	VPMULLD Y3, Y2, Y2
 	VPSIGND Y15, Y2, Y2
-	VPMOVSXDQ X2, Y3
-	VEXTRACTI128 $1, Y2, X4
-	VPMOVSXDQ X4, Y5
-	VMOVDQU 64(DI), Y6
-	VMOVDQU 96(DI), Y7
-	VPADDQ Y3, Y6, Y6
-	VPADDQ Y5, Y7, Y7
-	VMOVDQU Y6, 64(DI)
-	VMOVDQU Y7, 96(DI)
-	VPCMPGTQ Y6, Y14, Y8
-	VBLENDVPD Y8, Y6, Y14, Y14
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
+	VPADDD 32(DI), Y2, Y2
+	VMOVDQU Y2, 32(DI)
+	VPMINSD Y2, Y12, Y12
 
 	ADDQ $32, SI
 	ADDQ $32, DX
-	ADDQ $128, DI
+	ADDQ $64, DI
 	DECQ R9
 	JNZ group
 
 	// tmins[t] = horizontal min over both accumulators
-	VPCMPGTQ Y12, Y14, Y8
-	VBLENDVPD Y8, Y12, Y14, Y14
+	VPMINSD Y12, Y14, Y14
 	VEXTRACTI128 $1, Y14, X9
-	VPCMPGTQ X9, X14, X10
-	VBLENDVPD X10, X9, X14, X11
-	VPSHUFD $0x4e, X11, X12
-	VPCMPGTQ X12, X11, X10
-	VBLENDVPD X10, X12, X11, X11
-	VMOVQ X11, AX
-	MOVQ AX, (R8)
-	ADDQ $8, R8
+	VPMINSD X9, X14, X14
+	VPSHUFD $0x4e, X14, X9
+	VPMINSD X9, X14, X14
+	VPSHUFD $0xb1, X14, X9
+	VPMINSD X9, X14, X14
+	VMOVD X14, AX
+	MOVL AX, (R8)
+	ADDQ $4, R8
 
 	DECQ CX
 	JMP tileloop
@@ -113,68 +93,81 @@ done:
 	VZEROUPPER
 	RET
 
-// func minVal64AVX2(d *int64, n int64) int64
+// func minVal32AVX2(d *int32, n int64) int32
 //
-// Minimum of d[0:n]; n must be a positive multiple of 8.
-TEXT ·minVal64AVX2(SB), NOSPLIT, $0-24
+// Minimum of d[0:n]; n must be at least 8. The accumulators start from
+// the last eight elements, which covers a ragged end by overlap (the
+// minimum is indifferent to seeing an element twice).
+TEXT ·minVal32AVX2(SB), NOSPLIT, $0-20
 	MOVQ d+0(FP), DI
 	MOVQ n+8(FP), CX
-	PCMPEQL X13, X13
-	VPBROADCASTQ X13, Y13
-	VPSRLQ $1, Y13, Y14
-	VPSRLQ $1, Y13, Y12
-minloop:
-	VMOVDQU (DI), Y6
-	VMOVDQU 32(DI), Y7
-	VPCMPGTQ Y6, Y14, Y8
-	VBLENDVPD Y8, Y6, Y14, Y14
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
+	VMOVDQU -32(DI)(CX*4), Y14
+	VMOVDQU Y14, Y12
+	MOVQ CX, BX
+	SHRQ $4, BX             // pairs of full vectors
+	JZ single
+pairloop:
+	VPMINSD (DI), Y14, Y14
+	VPMINSD 32(DI), Y12, Y12
 	ADDQ $64, DI
-	SUBQ $8, CX
-	JNZ minloop
-	VPCMPGTQ Y12, Y14, Y8
-	VBLENDVPD Y8, Y12, Y14, Y14
+	DECQ BX
+	JNZ pairloop
+single:
+	TESTQ $8, CX            // one full vector left over
+	JZ reduce
+	VPMINSD (DI), Y14, Y14
+reduce:
+	VPMINSD Y12, Y14, Y14
 	VEXTRACTI128 $1, Y14, X9
-	VPCMPGTQ X9, X14, X10
-	VBLENDVPD X10, X9, X14, X11
-	VPSHUFD $0x4e, X11, X12
-	VPCMPGTQ X12, X11, X10
-	VBLENDVPD X10, X12, X11, X11
-	VMOVQ X11, AX
-	MOVQ AX, ret+16(FP)
+	VPMINSD X9, X14, X14
+	VPSHUFD $0x4e, X14, X9
+	VPMINSD X9, X14, X14
+	VPSHUFD $0xb1, X14, X9
+	VPMINSD X9, X14, X14
+	VMOVD X14, AX
+	MOVL AX, ret+16(FP)
 	VZEROUPPER
 	RET
 
-// func firstEq64AVX2(d *int64, n int64, v int64) int64
+// func firstEq32AVX2(d *int32, n int64, v int32) int64
 //
-// Smallest i with d[i] == v, or −1; n must be a positive multiple
-// of 4. The tie-break resolver: called once per flip (or selection) on
-// the winning tile or window segment only.
-TEXT ·firstEq64AVX2(SB), NOSPLIT, $0-32
+// Smallest i with d[i] == v, or −1; n must be at least 8. The
+// tie-break resolver: called once per flip (or selection) on the
+// winning tile or window segment only. Full vectors are scanned in
+// order; a ragged end is checked with one overlapping load of the last
+// eight elements, whose lanes before n&^7 are already known unequal.
+TEXT ·firstEq32AVX2(SB), NOSPLIT, $0-32
 	MOVQ d+0(FP), DI
 	MOVQ n+8(FP), CX
-	MOVQ v+16(FP), AX
-	MOVQ AX, X0
-	VPBROADCASTQ X0, Y0
+	MOVL v+16(FP), AX
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y0
+	LEAQ -32(DI)(CX*4), R10 // &d[n-8]
+	MOVQ CX, R11
+	SHRQ $3, CX             // full vectors, at least one
 	XORQ R9, R9
 eqloop:
-	VMOVDQU (DI), Y1
-	VPCMPEQQ Y0, Y1, Y2
-	VMOVMSKPD Y2, AX
-	TESTQ AX, AX
+	VPCMPEQD (DI), Y0, Y1
+	VMOVMSKPS Y1, AX
+	TESTL AX, AX
 	JNZ found
 	ADDQ $32, DI
-	ADDQ $4, R9
-	SUBQ $4, CX
+	ADDQ $8, R9
+	DECQ CX
 	JNZ eqloop
-	MOVQ $-1, AX
+	VPCMPEQD (R10), Y0, Y1
+	VMOVMSKPS Y1, AX
+	TESTL AX, AX
+	JZ none
+	LEAQ -8(R11), R9
+found:
+	BSFL AX, AX
+	ADDQ R9, AX
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
-found:
-	TZCNTQ AX, AX
-	ADDQ R9, AX
+none:
+	MOVQ $-1, AX
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

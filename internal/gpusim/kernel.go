@@ -56,10 +56,10 @@ type KernelBlock struct {
 	// t·p+p−1). One contiguous backing array lets the dense flip and
 	// the window selection run the batched dkernel over whole tiles
 	// while the sparse mode's per-thread bookkeeping keeps indexing
-	// regs[t] unchanged. The paper stores these as 32-bit registers;
-	// int64 here, with the width argument made in qubo.State.
-	regFile []int64
-	regs    [][]int64
+	// regs[t] unchanged. The registers are 32-bit, as in the paper;
+	// qubo's maxAbsDelta bound makes that width exact.
+	regFile []int32
+	regs    [][]int32
 	// x is the current solution (conceptually distributed: thread t
 	// owns bits t·p…t·p+p−1).
 	x *bitvec.Vector
@@ -80,7 +80,7 @@ type KernelBlock struct {
 	// sign registers sgnc[i] = 2·(1−2x_i) and the per-tile minima
 	// scratch, exactly as in qubo.State's batched flip.
 	sgnc  []int16
-	tmins []int64
+	tmins []int32
 
 	flips uint64
 }
@@ -94,13 +94,13 @@ func NewKernelBlock(prob *qubo.Problem, bitsPerThread int) (*KernelBlock, error)
 	}
 	kb.prob = prob
 	for i := 0; i < kb.n; i++ {
-		kb.regFile[i] = int64(prob.Weight(i, i))
+		kb.regFile[i] = int32(prob.Weight(i, i))
 	}
 	kb.sgnc = make([]int16, kb.n)
 	for i := range kb.sgnc {
 		kb.sgnc[i] = 2 // all-zero start: 2·(1−2·0)
 	}
-	kb.tmins = make([]int64, kb.n/dkernel.TileWidth)
+	kb.tmins = make([]int32, kb.n/dkernel.TileWidth)
 	return kb, nil
 }
 
@@ -117,7 +117,7 @@ func NewSparseKernelBlock(sp *qubo.Sparse, bitsPerThread int) (*KernelBlock, err
 	kb.dirty = make([]bool, kb.threads)
 	kb.touched = make([]int, 0, kb.threads)
 	for i := 0; i < kb.n; i++ {
-		kb.regFile[i] = int64(sp.Diag(i))
+		kb.regFile[i] = int32(sp.Diag(i))
 	}
 	for t := 0; t < kb.threads; t++ {
 		kb.tmin[t] = kb.scanThread(t, -1)
@@ -135,8 +135,8 @@ func newKernelBlock(n, bitsPerThread int) (*KernelBlock, error) {
 		n:           n,
 		threads:     threads,
 		p:           bitsPerThread,
-		regFile:     make([]int64, n),
-		regs:        make([][]int64, threads),
+		regFile:     make([]int32, n),
+		regs:        make([][]int32, threads),
 		x:           bitvec.New(n),
 		sharedBestE: math.MaxInt64,
 	}
@@ -175,7 +175,7 @@ func (kb *KernelBlock) X() *bitvec.Vector { return kb.x }
 // Delta returns Δ_k from the owning thread's register file (a view
 // into the flat file, so this is a direct load).
 func (kb *KernelBlock) Delta(k int) int64 {
-	return kb.regFile[k]
+	return int64(kb.regFile[k])
 }
 
 // BestEnergy returns the shared-memory best-energy cell.
@@ -185,7 +185,7 @@ func (kb *KernelBlock) BestEnergy() int64 { return kb.sharedBestE }
 // reduction tree. Ordering matches the serial OffsetWindow policy:
 // strictly smaller Δ wins; on ties, the earlier window scan position.
 type candidate struct {
-	delta int64
+	delta int32
 	pos   int
 	bit   int
 }
@@ -247,15 +247,16 @@ func (kb *KernelBlock) Flip(k int) {
 	neg := oldSgn < 0 // sk = 1−2x_k < 0 iff x_k = 1
 
 	// Exclude bit k from the update and the minimum by sentinel: a zero
-	// sign register keeps d[k] pinned at MaxInt64 through the tiles, and
-	// |Δ| ≤ 2·n·2¹⁵ ≪ MaxInt64 means it cannot win a tile minimum. This
-	// replaces the old per-element `i == k` branch, which the tile
-	// kernel hoists out of the inner loop.
-	d[k] = math.MaxInt64
+	// sign register keeps d[k] pinned at MaxInt32 through the tiles, and
+	// every real Δ is strictly below MaxInt32 (qubo's width bound), so
+	// it cannot win a tile minimum. This replaces the old per-element
+	// `i == k` branch, which the tile kernel hoists out of the inner
+	// loop.
+	d[k] = math.MaxInt32
 	kb.sgnc[k] = 0
 
 	tailMin := dkernel.FlipTiles(d, row, kb.sgnc, kb.tmins, neg)
-	minD := int64(math.MaxInt64)
+	minD := int32(math.MaxInt32)
 	minTile := -1
 	for t, m := range kb.tmins {
 		if m < minD {
@@ -269,15 +270,15 @@ func (kb *KernelBlock) Flip(k int) {
 
 	d[k] = -oldDk
 	kb.sgnc[k] = -oldSgn
-	kb.sharedE += oldDk
+	kb.sharedE += int64(oldDk)
 	kb.x.Flip(k)
 	kb.flips++
 
 	if kb.sharedE < kb.sharedBestE {
 		kb.recordBest(kb.x, kb.sharedE)
 	}
-	if minD != math.MaxInt64 {
-		if cand := kb.sharedE + minD; cand < kb.sharedBestE {
+	if minD != math.MaxInt32 {
+		if cand := kb.sharedE + int64(minD); cand < kb.sharedBestE {
 			kb.recordBestNeighbour(kb.locateMin(k, minD, minTile, inTail), cand)
 		}
 	}
@@ -289,7 +290,7 @@ func (kb *KernelBlock) Flip(k int) {
 // −Δ_k and may collide by value. The candidate ordering — smaller Δ
 // first, lower bit index on ties — is unchanged from the per-thread
 // scan it replaces.
-func (kb *KernelBlock) locateMin(k int, minD int64, minTile int, inTail bool) int {
+func (kb *KernelBlock) locateMin(k int, minD int32, minTile int, inTail bool) int {
 	var lo, hi int
 	if inTail {
 		lo, hi = len(kb.tmins)*dkernel.TileWidth, kb.n
@@ -307,7 +308,7 @@ func (kb *KernelBlock) locateMin(k int, minD int64, minTile int, inTail bool) in
 // excluding bit `excl` (pass −1 to include every bit). The candidate
 // ordering matches the dense Flip loop: pos == bit index.
 func (kb *KernelBlock) scanThread(t, excl int) candidate {
-	best := candidate{delta: math.MaxInt64, pos: math.MaxInt32}
+	best := candidate{delta: math.MaxInt32, pos: math.MaxInt32}
 	lo, hi := kb.span(t)
 	regs := kb.regs[t]
 	for i := lo; i < hi; i++ {
@@ -331,7 +332,7 @@ func (kb *KernelBlock) scanThread(t, excl int) candidate {
 // threads) instead of O(n), with decisions identical bit for bit.
 func (kb *KernelBlock) flipSparse(k int) {
 	sp := kb.sp
-	sk := int64(1 - 2*kb.x.Bit(k))
+	sk := int32(1 - 2*kb.x.Bit(k))
 	owner := k / kb.p
 	oldDk := kb.regs[owner][k-owner*kb.p]
 
@@ -342,8 +343,8 @@ func (kb *KernelBlock) flipSparse(k int) {
 	for pos, ji := range idx {
 		i := int(ji)
 		t := i / kb.p
-		xi := int64(kb.x.Bit(i))
-		kb.regs[t][i-t*kb.p] += 2 * sk * (1 - 2*xi) * int64(w[pos])
+		xi := int32(kb.x.Bit(i))
+		kb.regs[t][i-t*kb.p] += 2 * sk * (1 - 2*xi) * int32(w[pos])
 		if !kb.dirty[t] {
 			kb.dirty[t] = true
 			kb.touched = append(kb.touched, t)
@@ -379,15 +380,15 @@ func (kb *KernelBlock) flipSparse(k int) {
 	} else {
 		kb.tmin[owner] = ownerExcl
 	}
-	kb.sharedE += oldDk
+	kb.sharedE += int64(oldDk)
 	kb.x.Flip(k)
 	kb.flips++
 
 	if kb.sharedE < kb.sharedBestE {
 		kb.recordBest(kb.x, kb.sharedE)
 	}
-	if minC.delta != math.MaxInt64 {
-		if cand := kb.sharedE + minC.delta; cand < kb.sharedBestE {
+	if minC.delta != math.MaxInt32 {
+		if cand := kb.sharedE + int64(minC.delta); cand < kb.sharedBestE {
 			kb.recordBestNeighbour(minC.bit, cand)
 		}
 	}

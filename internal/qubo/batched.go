@@ -52,7 +52,7 @@ func (s *State) initBatched() {
 	for i := 0; i < n; i++ {
 		s.sgnc[i] = int16(2 - 4*s.x.Bit(i))
 	}
-	s.tmins = make([]int64, n/dkernel.TileWidth)
+	s.tmins = make([]int32, n/dkernel.TileWidth)
 }
 
 // flipBatched is Flip via the batched delta-evaluation kernel.
@@ -66,9 +66,9 @@ func (s *State) flipBatched(k int) {
 	neg := oldSgn < 0 // sk = 1−2x_k < 0 iff x_k = 1
 
 	// Exclude bit k from both the update and the minimum by sentinel:
-	// a zero sign entry keeps d[k] untouched at MaxInt64, which cannot
-	// win a tile minimum (|Δ| ≤ 2·n·2¹⁵ ≪ MaxInt64).
-	d[k] = math.MaxInt64
+	// a zero sign entry keeps d[k] untouched at MaxInt32, which cannot
+	// win a tile minimum (|Δ| ≤ maxAbsDelta < MaxInt32).
+	d[k] = math.MaxInt32
 	s.sgnc[k] = 0
 
 	tailMin := dkernel.FlipTiles(d, row, s.sgnc, s.tmins, neg)
@@ -77,7 +77,7 @@ func (s *State) flipBatched(k int) {
 	// comparison: the winning tile is the first tile containing the
 	// global minimum, so first-occurrence tie-break order survives the
 	// two-level reduction.
-	minD := int64(math.MaxInt64)
+	minD := int32(math.MaxInt32)
 	minTile := -1
 	for t, m := range s.tmins {
 		if m < minD {
@@ -91,15 +91,15 @@ func (s *State) flipBatched(k int) {
 
 	d[k] = -oldDk
 	s.sgnc[k] = -oldSgn
-	s.energy += oldDk
+	s.energy += int64(oldDk)
 	s.x.Flip(k)
 	s.flips++
 
 	if s.energy < s.bestE {
 		s.recordBest(s.x, s.energy)
 	}
-	if minD != math.MaxInt64 && s.energy+minD < s.bestE {
-		s.recordBestNeighbour(s.locateMin(k, minD, minTile, inTail), s.energy+minD)
+	if minD != math.MaxInt32 && s.energy+int64(minD) < s.bestE {
+		s.recordBestNeighbour(s.locateMin(k, minD, minTile, inTail), s.energy+int64(minD))
 	}
 }
 
@@ -107,7 +107,7 @@ func (s *State) flipBatched(k int) {
 // winning tile (or the ragged tail) for the first occurrence of the
 // minimum value, skipping bit k, whose slot now holds −oldΔk and may
 // collide with the minimum by value.
-func (s *State) locateMin(k int, minD int64, minTile int, inTail bool) int {
+func (s *State) locateMin(k int, minD int32, minTile int, inTail bool) int {
 	var lo, hi int
 	if inTail {
 		lo, hi = len(s.tmins)*dkernel.TileWidth, s.p.n
@@ -128,11 +128,11 @@ func newZeroStateMode(p *Problem, batched bool) *State {
 	s := &State{
 		p:     p,
 		x:     bitvec.New(p.n),
-		delta: make([]int64, p.n),
+		delta: make([]int32, p.n),
 		bestE: math.MaxInt64,
 	}
 	for i := 0; i < p.n; i++ {
-		s.delta[i] = int64(p.w[i*p.n+i])
+		s.delta[i] = int32(p.w[i*p.n+i])
 	}
 	if batched {
 		s.initBatched()

@@ -50,9 +50,9 @@ func assertStatesEqual(t *testing.T, step int, scalar, batched *State) {
 // The search package cannot be imported here (it imports qubo), so the
 // policy's selection rule is reproduced to drive both engines with the
 // exact flip sequence the production hot path would issue.
-func windowMinSelect(d []int64, offset, l int) int {
+func windowMinSelect(d []int32, offset, l int) int {
 	n := len(d)
-	best, bestD := -1, int64(math.MaxInt64)
+	best, bestD := -1, int32(math.MaxInt32)
 	for j := 0; j < l; j++ {
 		i := offset + j
 		if i >= n {

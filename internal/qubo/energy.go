@@ -61,14 +61,15 @@ func (p *Problem) Delta(x *bitvec.Vector, k int) int64 {
 
 // DeltaAll fills dst (length n) with Δ_k(X) for every k, in O(n²) total
 // — O(n) per neighbour, matching the initialization cost of Algorithm 3.
-// It allocates when dst is nil or mis-sized.
-func (p *Problem) DeltaAll(x *bitvec.Vector, dst []int64) []int64 {
+// dst is a Δ register file, exact in int32 (see maxAbsDelta). It
+// allocates when dst is nil or mis-sized.
+func (p *Problem) DeltaAll(x *bitvec.Vector, dst []int32) []int32 {
 	p.checkLen(x)
 	if len(dst) != p.n {
-		dst = make([]int64, p.n)
+		dst = make([]int32, p.n)
 	}
 	for k := 0; k < p.n; k++ {
-		dst[k] = p.Delta(x, k)
+		dst[k] = int32(p.Delta(x, k))
 	}
 	return dst
 }

@@ -22,10 +22,11 @@ type Engine interface {
 	N() int
 	// Energy returns E(X) of the current solution.
 	Energy() int64
-	// Delta returns Δ_k(X); Deltas returns the full vector as a shared
-	// read-only slice.
+	// Delta returns Δ_k(X); Deltas returns the full Δ register file as
+	// a shared read-only slice. Registers are int32, exact for every
+	// supported instance size (see maxAbsDelta).
 	Delta(k int) int64
-	Deltas() []int64
+	Deltas() []int32
 	// Flip flips bit k, maintaining energy, deltas and the best-found
 	// solution.
 	Flip(k int)

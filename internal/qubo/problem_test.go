@@ -159,7 +159,7 @@ func TestDeltaAll(t *testing.T) {
 		t.Fatalf("DeltaAll length %d", len(ds))
 	}
 	for k, d := range ds {
-		if want := p.Delta(x, k); d != want {
+		if want := p.Delta(x, k); int64(d) != want {
 			t.Errorf("DeltaAll[%d] = %d, want %d", k, d, want)
 		}
 	}
@@ -297,7 +297,7 @@ func BenchmarkEnergy1k(b *testing.B) {
 func BenchmarkDeltaAll1k(b *testing.B) {
 	p := randomProblem(1024, 1)
 	x := bitvec.Random(1024, rng.New(2))
-	dst := make([]int64, 1024)
+	dst := make([]int32, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.DeltaAll(x, dst)

@@ -23,9 +23,11 @@ import (
 //
 // A State is not safe for concurrent use; each search unit owns one.
 type State struct {
-	p     *Problem
-	x     *bitvec.Vector
-	delta []int64
+	p *Problem
+	x *bitvec.Vector
+	// delta is the Δ register file, 32-bit as in the paper's kernel
+	// (§3.2); maxAbsDelta below shows the width is exact.
+	delta []int32
 	// energy is E(x). With |W| < 2¹⁵ and n ≤ 2¹⁵ the extreme energy
 	// magnitude is ~2·n²·2¹⁵ ≈ 2⁴⁶, well inside int64.
 	energy int64
@@ -41,8 +43,22 @@ type State struct {
 	// batched.go and DESIGN.md §14.
 	batched bool
 	sgnc    []int16
-	tmins   []int64
+	tmins   []int32
 }
+
+// maxAbsDelta bounds |Δ_k| for every supported instance. Eq. (4) sums
+// the diagonal weight and 2·(n−1) off-diagonal weights, each at most
+// 2¹⁵ in magnitude, so |Δ_k| ≤ 32768·(2n−1), which at n = MaxBits is
+// 2,147,450,880. That is below MaxInt32: every Δ fits an int32 register
+// exactly, every Eq. (6) update lands on another exact Δ, and MaxInt32
+// itself is never a real Δ, so it serves as the excluded-bit sentinel
+// of the batched flip.
+const maxAbsDelta = 32768 * (2*MaxBits - 1)
+
+// The register width proof, checked by the compiler: the constant
+// below is negative, and does not compile, if MaxBits ever grows past
+// what an int32 register can hold.
+const _ uint = math.MaxInt32 - maxAbsDelta - 1
 
 // NewZeroState returns a State at the all-zero vector, for which
 // E(0) = 0 and Δ_i(0) = W_ii (§2.1), initialized in O(n). Starting
@@ -68,11 +84,11 @@ func (s *State) Problem() *Problem { return s.p }
 func (s *State) Energy() int64 { return s.energy }
 
 // Delta returns Δ_k(X), the energy change if bit k were flipped.
-func (s *State) Delta(k int) int64 { return s.delta[k] }
+func (s *State) Delta(k int) int64 { return int64(s.delta[k]) }
 
-// Deltas returns the full Δ vector as a shared read-only slice; callers
-// (selection policies) must not modify it.
-func (s *State) Deltas() []int64 { return s.delta }
+// Deltas returns the full Δ register file as a shared read-only slice;
+// callers (selection policies) must not modify it.
+func (s *State) Deltas() []int32 { return s.delta }
 
 // X returns the current solution as a shared read-only vector; callers
 // must not mutate it. Use Snapshot for an owned copy.
@@ -108,23 +124,25 @@ func (s *State) flipScalar(k int) {
 	words := s.x.Words()
 
 	// φ(x_k) before the flip; Eq. (6) uses pre-flip bit values.
-	sk := int64(1 - 2*s.x.Bit(k))
+	sk := int32(1 - 2*s.x.Bit(k))
 	oldDk := d[k]
 
 	// Update all Δ_i and track the minimum over i ≠ k so the best
 	// neighbour of the new solution can be recorded without a second
 	// scan. The i == k slot receives a garbage update inside the loop
-	// and is overwritten with −Δ_k afterwards (Case 1 of §2.1).
-	minI, minD := -1, int64(math.MaxInt64)
+	// and is overwritten with −Δ_k afterwards (Case 1 of §2.1), so it
+	// may harmlessly wrap; every other update lands on an exact Δ and
+	// stays inside the int32 range.
+	minI, minD := -1, int32(math.MaxInt32)
 	for i := 0; i < n; i++ {
-		xi := int64(words[uint(i)>>6]>>(uint(i)&63)) & 1
-		d[i] += 2 * sk * (1 - 2*xi) * int64(row[i])
+		xi := int32(words[uint(i)>>6]>>(uint(i)&63)) & 1
+		d[i] += 2 * sk * (1 - 2*xi) * int32(row[i])
 		if d[i] < minD && i != k {
 			minI, minD = i, d[i]
 		}
 	}
 	d[k] = -oldDk
-	s.energy += oldDk
+	s.energy += int64(oldDk)
 	s.x.Flip(k)
 	s.flips++
 
@@ -133,11 +151,11 @@ func (s *State) flipScalar(k int) {
 	if s.energy < s.bestE {
 		s.recordBest(s.x, s.energy)
 	}
-	if minI >= 0 && s.energy+minD < s.bestE {
+	if minI >= 0 && s.energy+int64(minD) < s.bestE {
 		// Materialize the neighbour lazily; improvements are rare after
 		// the initial descent, so the O(n/64) copy does not affect the
 		// amortized O(1) efficiency.
-		s.recordBestNeighbour(minI, s.energy+minD)
+		s.recordBestNeighbour(minI, s.energy+int64(minD))
 	}
 }
 
@@ -197,7 +215,7 @@ func (s *State) CheckConsistency() error {
 		return fmt.Errorf("qubo: energy drift: incremental %d, direct %d", s.energy, e)
 	}
 	for k := 0; k < s.p.n; k++ {
-		if d := s.p.Delta(s.x, k); d != s.delta[k] {
+		if d := s.p.Delta(s.x, k); d != int64(s.delta[k]) {
 			return fmt.Errorf("qubo: delta drift at %d: incremental %d, direct %d",
 				k, s.delta[k], d)
 		}

@@ -193,7 +193,7 @@ func TestQuickDoubleFlipRestoresDeltas(t *testing.T) {
 		p := randomProblem(n, seed)
 		x := bitvec.Random(n, rng.New(seed+1))
 		s := NewState(p, x)
-		before := append([]int64(nil), s.Deltas()...)
+		before := append([]int32(nil), s.Deltas()...)
 		e := s.Energy()
 		k := int(kRaw) % n
 		s.Flip(k)

@@ -134,7 +134,7 @@ func (p *MetropolisWindow) Select(s qubo.Engine) int {
 		if d[i] < bestD {
 			best, bestD = i, d[i]
 		}
-		if choice < 0 && metropolis(d[i], p.T, p.R) {
+		if choice < 0 && metropolis(int64(d[i]), p.T, p.R) {
 			choice = i
 		}
 	}

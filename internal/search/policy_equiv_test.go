@@ -11,7 +11,7 @@ import (
 // refWindowSelect is the original element-at-a-time OffsetWindow scan,
 // kept as the semantic reference for the batched two-segment version:
 // first strict minimum in window scan order.
-func refWindowSelect(d []int64, offset, l int) int {
+func refWindowSelect(d []int32, offset, l int) int {
 	n := len(d)
 	best := offset % n
 	bestD := d[best]

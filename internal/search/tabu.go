@@ -68,8 +68,8 @@ func (p *TabuWindow) Select(s qubo.Engine) int {
 	e := s.Energy()
 	bestE := s.BestEnergy()
 
-	best, bestD := -1, int64(0)
-	fallback, fallbackD := -1, int64(0) // window minimum ignoring tabu
+	best, bestD := -1, int32(0)
+	fallback, fallbackD := -1, int32(0) // window minimum ignoring tabu
 	for t := 0; t < l; t++ {
 		i := p.offset + t
 		if i >= n {
@@ -80,7 +80,7 @@ func (p *TabuWindow) Select(s qubo.Engine) int {
 		}
 		if _, isTabu := p.tabu[i]; isTabu {
 			// Aspiration: allowed if it beats the best-known energy.
-			if e+d[i] >= bestE {
+			if e+int64(d[i]) >= bestE {
 				continue
 			}
 		}
