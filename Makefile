@@ -26,8 +26,8 @@ check:
 	./scripts/check.sh
 
 # The CI short lane, exactly as .github/workflows/ci.yml runs it:
-# both vet flavours, both builds, the API-surface gate and the -short
-# test suite, and the benchmark module's tests. `make check` remains
+# both vet flavours, both builds, the API-surface and dead-package
+# gates, the -short test suite, and the benchmark module's tests. `make check` remains
 # the full gate (-race, cluster e2e).
 ci:
 	$(GO) vet ./...
@@ -35,6 +35,7 @@ ci:
 	$(GO) build ./...
 	$(GO) build -tags abstelemetryoff ./...
 	sh scripts/apicheck.sh
+	sh scripts/deadpkg.sh
 	$(GO) test -short ./...
 	cd perfbench && $(GO) test ./...
 

@@ -62,6 +62,11 @@ type (
 	// radius, distance-bucket shape, and the race backend's adaptive
 	// allocator floor/window/interval. The zero value means defaults.
 	DiversitySpec = diversity.Spec
+	// RunSpec is the storage, backend and diversity choice in the text
+	// form flags, job specs and cluster grants carry. A set field wins
+	// over the layer below (RunSpec.Over), "auto" or empty means unset,
+	// and Apply parses it into Options.
+	RunSpec = core.RunSpec
 
 	// Progress is the periodic run snapshot passed to Options.Progress
 	// and reported live by Job.Status.
@@ -206,8 +211,8 @@ type (
 	// concurrent use.
 	Job = serve.Job
 	// JobSpec is the per-job request: stop conditions, seed, an
-	// optional name and a device cap. Zero fields inherit the Solver's
-	// default Options.
+	// optional name, a device cap and the embedded RunSpec's backend
+	// and diversity. Zero fields inherit the Solver's default Options.
 	JobSpec = serve.JobSpec
 	// JobStatus is a point-in-time job snapshot, safe to read while the
 	// job runs.

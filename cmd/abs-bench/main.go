@@ -48,9 +48,8 @@ import (
 	"io"
 	"os"
 
-	"abs/internal/backendflag"
 	"abs/internal/bench"
-	"abs/internal/diversityflag"
+	"abs/internal/core"
 )
 
 // renderFunc is one report section.
@@ -116,12 +115,15 @@ func main() {
 		denseR   = flag.String("dense-report", "", "write a scalar-vs-batched dense-kernel comparison JSON to this file")
 		dratio   = flag.Float64("assert-dense-ratio", 0, "with -dense-report: fail unless batched/scalar flips ratio is at least this on every instance (0 disables; relaxed to no-regression without SIMD)")
 		backendR = flag.String("backend-report", "", "write a per-backend time-to-target comparison JSON to this file")
-		backend  = backendflag.Register("auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
-		divFlag  = diversityflag.Register("applies to every benchmark solve; -backend-report additionally sweeps a race-static row at floor=1.0")
+		run      core.RunSpec
 	)
+	run.Flag(flag.CommandLine, "backend", "auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
+	run.Flag(flag.CommandLine, "diversity", "applies to every benchmark solve; -backend-report additionally sweeps a race-static row at floor=1.0")
 	flag.Parse()
-	bench.SetDefaultBackend(backend.Backend())
-	bench.SetDefaultDiversity(divFlag.Spec())
+	if err := bench.SetDefaultRun(run); err != nil {
+		fmt.Fprintln(os.Stderr, "abs-bench:", err)
+		os.Exit(2)
+	}
 
 	s, err := parseScale(*scale)
 	if err != nil {

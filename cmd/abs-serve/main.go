@@ -58,10 +58,8 @@ import (
 	"syscall"
 	"time"
 
-	"abs/internal/backendflag"
 	"abs/internal/cluster"
 	"abs/internal/core"
-	"abs/internal/diversityflag"
 	"abs/internal/gpusim"
 	"abs/internal/health"
 	"abs/internal/qubo"
@@ -78,8 +76,7 @@ type config struct {
 	retain      int
 	defaultTime time.Duration
 	maxTime     time.Duration
-	backend     *backendflag.Value
-	diversity   *diversityflag.Value
+	run         core.RunSpec
 
 	// Durability (both modes).
 	storeDir   string
@@ -97,7 +94,6 @@ type config struct {
 	leaseTTL    time.Duration
 	leaseBatch  int
 	linger      time.Duration
-	storage     string
 }
 
 func main() {
@@ -122,9 +118,9 @@ func main() {
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "coordinator: lease TTL (default 10s)")
 	flag.IntVar(&cfg.leaseBatch, "lease-batch", 0, "coordinator: targets granted per lease call (default 32)")
 	flag.DurationVar(&cfg.linger, "linger", 3*time.Second, "coordinator: how long to keep serving after the run finishes so workers can flush")
-	flag.StringVar(&cfg.storage, "storage", "auto", "coordinator: engine representation granted to workers (auto|dense|sparse)")
-	cfg.backend = backendflag.Register("job mode: default for jobs that name none; coordinator mode: granted to workers")
-	cfg.diversity = diversityflag.Register("job mode: default for jobs that name no spec; coordinator mode: granted to workers")
+	cfg.run.Flag(flag.CommandLine, "storage", "job mode: every job's storage, which a job cannot name; coordinator mode: granted to workers")
+	cfg.run.Flag(flag.CommandLine, "backend", "job mode: default for jobs that name none; coordinator mode: granted to workers")
+	cfg.run.Flag(flag.CommandLine, "diversity", "job mode: default for jobs that name no spec; coordinator mode: granted to workers")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "target" {
@@ -202,19 +198,13 @@ func runCoordinator(ctx context.Context, cfg config, out *os.File) error {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(1 << 14)
 	telemetry.StampBuildInfo(reg)
-	storage, err := core.ParseStorage(cfg.storage)
-	if err != nil {
-		return err
-	}
 	ccfg := cluster.CoordinatorConfig{
 		Seed:        cfg.seed,
 		MaxDuration: cfg.runTime,
 		MaxFlips:    cfg.maxFlips,
 		LeaseTTL:    cfg.leaseTTL,
 		LeaseBatch:  cfg.leaseBatch,
-		Storage:     storage,
-		Backend:     cfg.backend.Backend(),
-		Diversity:   cfg.diversity.Raw(),
+		Run:         cfg.run,
 		Registry:    reg,
 		Tracer:      tr,
 		Checkpoint:  cfg.checkpoint,
@@ -336,8 +326,9 @@ func loadProblem(cfg config) (*qubo.Problem, error) {
 func newService(cfg config) (*serve.Service, *telemetry.Registry, *telemetry.Tracer, error) {
 	defaults := core.DefaultOptions()
 	defaults.MaxDuration = cfg.defaultTime
-	defaults.Backend = cfg.backend.Backend()
-	defaults.Diversity = cfg.diversity.Spec()
+	if err := cfg.run.Apply(&defaults); err != nil {
+		return nil, nil, nil, err
+	}
 
 	var device gpusim.DeviceSpec
 	if cfg.sms == 0 {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -12,6 +16,7 @@ import (
 
 	"abs/internal/cluster"
 	"abs/internal/gpusim"
+	"abs/internal/serve"
 )
 
 // TestRunLifecycle boots the whole binary path — flags → service →
@@ -272,5 +277,78 @@ func TestLoadProblemValidation(t *testing.T) {
 	}
 	if p, err := loadProblem(config{randomN: 24, seed: 9}); err != nil || p.N() != 24 {
 		t.Errorf("loadProblem(random 24) = %v, %v", p, err)
+	}
+}
+
+// TestStorageFlagReachesJobs: -storage is the service-wide storage in
+// job mode, as it is the worker grant in coordinator mode. A sparse
+// ring instance resolves to the sparse engine by default and to the
+// dense one under -storage dense.
+func TestStorageFlagReachesJobs(t *testing.T) {
+	var ring strings.Builder
+	const n = 64
+	fmt.Fprintf(&ring, "p qubo %d %d\n", n, 2*n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&ring, "%d %d 1\n%d %d -2\n", i, i, min(i, (i+1)%n), max(i, (i+1)%n))
+	}
+	body, err := json.Marshal(map[string]any{"problem": ring.String(), "max_flips": 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "sparse"},
+		{[]string{"-storage", "dense"}, "dense"},
+	} {
+		cfg := config{gpus: 1, sms: 1, queueCap: 4, retain: 8, defaultTime: time.Minute, maxTime: time.Minute}
+		fs := flag.NewFlagSet("abs-serve", flag.ContinueOnError)
+		cfg.run.Flags(fs, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		svc, reg, tr, err := newService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(serve.NewHTTPHandler(svc, reg, tr))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job struct {
+			ID     string `json:"id"`
+			State  string `json:"state"`
+			Result *struct {
+				Storage string `json:"storage"`
+			} `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%v: submit = %d, %v", tc.args, resp.StatusCode, err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for job.Result == nil && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&job)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts.Close()
+		svc.Close()
+		if job.Result == nil {
+			t.Fatalf("%v: job %s never finished (state %s)", tc.args, job.ID, job.State)
+		}
+		if job.Result.Storage != tc.want {
+			t.Errorf("%v: job ran on %s storage, want %s", tc.args, job.Result.Storage, tc.want)
+		}
 	}
 }

@@ -39,10 +39,8 @@ import (
 	"syscall"
 	"time"
 
-	"abs/internal/backendflag"
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversityflag"
 	"abs/internal/gpusim"
 	"abs/internal/ising"
 	"abs/internal/maxcut"
@@ -60,9 +58,7 @@ type config struct {
 	gpus, sms     int
 	bitsPerThread int
 	seed          uint64
-	storage       string
-	backend       *backendflag.Value
-	diversity     *diversityflag.Value
+	run           core.RunSpec
 	showSolution  bool
 	verbose       bool
 	presolve      bool
@@ -82,9 +78,7 @@ func main() {
 	flag.IntVar(&cfg.sms, "sms", 2, "SMs per simulated GPU (0 = full RTX 2080 Ti)")
 	flag.IntVar(&cfg.bitsPerThread, "bits-per-thread", 0, "bits per thread (0 = auto)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "random seed")
-	flag.StringVar(&cfg.storage, "storage", "auto", "engine representation: auto|dense|sparse")
-	cfg.backend = backendflag.Register("")
-	cfg.diversity = diversityflag.Register("")
+	cfg.run.Flags(flag.CommandLine, "")
 	flag.BoolVar(&cfg.showSolution, "solution", false, "print the solution bit vector")
 	flag.BoolVar(&cfg.verbose, "v", false, "print progress once per second")
 	flag.BoolVar(&cfg.presolve, "presolve", false, "apply persistency-based variable fixing before solving")
@@ -199,12 +193,9 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.hasTarget {
 		opt.TargetEnergy = &cfg.target
 	}
-	opt.Storage, err = core.ParseStorage(cfg.storage)
-	if err != nil {
+	if err := cfg.run.Apply(&opt); err != nil {
 		return err
 	}
-	opt.Backend = cfg.backend.Backend()
-	opt.Diversity = cfg.diversity.Spec()
 	opt.TrustPublications = cfg.trustDevices
 	opt.SupervisorGrace = cfg.grace
 	if cfg.verbose {

@@ -38,10 +38,8 @@ import (
 	"syscall"
 	"time"
 
-	"abs/internal/backendflag"
 	"abs/internal/cluster"
 	"abs/internal/core"
-	"abs/internal/diversityflag"
 	"abs/internal/gpusim"
 	"abs/internal/health"
 	"abs/internal/obsflags"
@@ -56,9 +54,7 @@ type config struct {
 	exchange    time.Duration
 	publishK    int
 	maxTime     time.Duration
-	storage     string
-	backend     *backendflag.Value
-	diversity   *diversityflag.Value
+	run         core.RunSpec
 	addr        string
 	obs         obsflags.Config
 }
@@ -72,9 +68,7 @@ func main() {
 	flag.DurationVar(&cfg.exchange, "exchange", 200*time.Millisecond, "publish/lease exchange cadence")
 	flag.IntVar(&cfg.publishK, "publish-k", 8, "best local solutions shipped per exchange")
 	flag.DurationVar(&cfg.maxTime, "max-time", 24*time.Hour, "local backstop budget for an orphaned worker")
-	flag.StringVar(&cfg.storage, "storage", "auto", "engine representation: auto|dense|sparse (auto defers to the coordinator's grant, then density)")
-	cfg.backend = backendflag.Register("auto defers to the coordinator's grant, then straight")
-	cfg.diversity = diversityflag.Register("unset defers to the coordinator's grant, then defaults; 'off' refuses the grant")
+	cfg.run.Flags(flag.CommandLine, "unset or auto defers to the coordinator's grant, then the default; a set value wins over the grant")
 	flag.StringVar(&cfg.addr, "addr", "", "health/metrics listen address (empty = no listener)")
 	cfg.obs.Register(flag.CommandLine)
 	flag.Parse()
@@ -106,10 +100,6 @@ func run(ctx context.Context, cfg config, out *os.File) error {
 	} else {
 		device = gpusim.ScaledCPU(cfg.sms)
 	}
-	storage, err := core.ParseStorage(cfg.storage)
-	if err != nil {
-		return err
-	}
 	// The worker's registry and tracer always exist — the -addr health
 	// listener re-exposes them — and the shared -metrics-addr /
 	// -trace-out plane adds a dedicated endpoint and a JSONL sink on
@@ -133,9 +123,7 @@ func run(ctx context.Context, cfg config, out *os.File) error {
 		Exchange:    cfg.exchange,
 		PublishK:    cfg.publishK,
 		MaxDuration: cfg.maxTime,
-		Storage:     storage,
-		Backend:     cfg.backend.Backend(),
-		Diversity:   cfg.diversity.Raw(),
+		Run:         cfg.run,
 		Registry:    reg,
 		Tracer:      tr,
 	})

@@ -8,7 +8,6 @@ import (
 
 	"abs/internal/chimera"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/maxcut"
 	"abs/internal/qubo"
@@ -17,32 +16,29 @@ import (
 	"abs/internal/tsp"
 )
 
-// defaultBackend is the solver backend every benchmark run uses;
-// BackendAuto (the zero value) keeps the paper's straight program.
-// Set once from the -backend flag before any benchmark runs.
-var defaultBackend core.Backend
+// defaultRun is the backend and diversity choice every benchmark run
+// uses; the zero value keeps the paper's straight program and the
+// default DABS tuning. Set once from the -backend and -diversity flags
+// before any benchmark runs.
+var defaultRun core.RunSpec
 
-// SetDefaultBackend pins the solver backend for all subsequent
-// benchmark solves (abs-bench -backend).
-func SetDefaultBackend(b core.Backend) { defaultBackend = b }
-
-// defaultDiversity is the DABS tuning every benchmark run uses; the
-// zero Spec normalizes to diversity.DefaultSpec (admission off,
-// adaptive allocator for the race backend). Set once from the
-// -diversity flag before any benchmark runs.
-var defaultDiversity diversity.Spec
-
-// SetDefaultDiversity pins the DABS tuning for all subsequent
-// benchmark solves (abs-bench -diversity).
-func SetDefaultDiversity(d diversity.Spec) { defaultDiversity = d }
+// SetDefaultRun validates r and pins it for all subsequent benchmark
+// solves.
+func SetDefaultRun(r core.RunSpec) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	defaultRun = r
+	return nil
+}
 
 // solveOptions returns the solver configuration shared by all
 // time-to-solution rows.
 func solveOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Seed = 20200701 // fixed for reproducibility across report runs
-	o.Backend = defaultBackend
-	o.Diversity = defaultDiversity
+	// SetDefaultRun validated defaultRun, so Apply cannot fail.
+	_ = defaultRun.Apply(&o)
 	return o
 }
 

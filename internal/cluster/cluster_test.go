@@ -9,6 +9,7 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
+	"abs/internal/diversity"
 	"abs/internal/qubo"
 	"abs/internal/randqubo"
 	"abs/internal/rng"
@@ -434,194 +435,175 @@ func TestDedupSetWindowEvicts(t *testing.T) {
 	}
 }
 
-func TestStorageGrantPropagatesToWorkerEngine(t *testing.T) {
-	p := testProblem(48, 4) // dense random instance: auto would pick dense
-	c := newCoord(t, p, CoordinatorConfig{Storage: core.StorageSparse})
+// grantCase describes one RunSpec field for the grant tests below,
+// which share one body per behaviour of the precedence rule.
+type grantCase struct {
+	field             string
+	grant, local, bad string
+	// resolved renders what the engine chose; render maps a setting to
+	// the same rendering.
+	resolved func(*core.Engine) string
+	render   func(t *testing.T, v string) string
+}
+
+func (gc grantCase) with(v string) core.RunSpec {
+	var r core.RunSpec
+	switch gc.field {
+	case "storage":
+		r.Storage = v
+	case "backend":
+		r.Backend = v
+	case "diversity":
+		r.Diversity = v
+	}
+	return r
+}
+
+func renderAsIs(_ *testing.T, v string) string { return v }
+
+var (
+	// A dense random instance: auto would pick dense.
+	storageGrant = grantCase{
+		field: "storage", grant: "sparse", local: "dense", bad: "columnar",
+		resolved: func(e *core.Engine) string { return e.Storage().String() },
+		render:   renderAsIs,
+	}
+	backendGrant = grantCase{
+		field: "backend", grant: "tabu", local: "sb", bad: "columnar",
+		resolved: func(e *core.Engine) string { return e.Backend().String() },
+		render:   renderAsIs,
+	}
+	// The local "off" is the opt-out from a granted DABS tuning.
+	diversityGrant = grantCase{
+		field: "diversity", grant: "radius=4,floor=0.2", local: "off", bad: "radius=banana",
+		resolved: func(e *core.Engine) string { return e.Options().Diversity.String() },
+		render: func(t *testing.T, v string) string {
+			t.Helper()
+			d, err := diversity.ParseSpec(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err = d.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			return d.String()
+		},
+	}
+)
+
+// checkGrantPropagates pins the worker side of the precedence rule for
+// one field: the coordinator's setting reaches a worker that leaves the
+// field unset, a set local value wins, a corrupt grant or local value is
+// a permanent error, and a corrupt grant that the worker overrides is
+// never parsed.
+func checkGrantPropagates(t *testing.T, gc grantCase) {
+	t.Helper()
+	p := testProblem(48, 4)
+	c := newCoord(t, p, CoordinatorConfig{Run: gc.with(gc.grant)})
 	reg := mustRegister(t, c, "w-grant")
-	if reg.Storage != "sparse" {
-		t.Fatalf("registration grant storage = %q, want \"sparse\"", reg.Storage)
+	if reg.RunSpec != gc.with(gc.grant) {
+		t.Fatalf("registration grant = %+v, want %s %q", reg.RunSpec, gc.field, gc.grant)
+	}
+	build := func(id string, local core.RunSpec, grant *RegisterResponse) (*core.Engine, error) {
+		t.Helper()
+		w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: id, Run: local})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.buildEngine(p, grant); err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { w.engine.Finish(true) })
+		return w.engine, nil
 	}
 
-	// A worker left on auto inherits the coordinator's choice.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
+	// A worker that leaves the field unset inherits the grant.
+	e, err := build("w-grant", core.RunSpec{}, reg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
 		t.Fatalf("buildEngine: %v", err)
 	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Storage(); got != core.StorageSparse {
-		t.Errorf("auto worker resolved %v, want sparse from the grant", got)
+	if got, want := gc.resolved(e), gc.render(t, gc.grant); got != want {
+		t.Errorf("unset worker resolved %s, want %s from the grant", got, want)
 	}
 
-	// An explicit local setting wins over the grant.
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Storage: core.StorageDense})
+	// A set local value wins over the grant.
+	e, err = build("w-local", gc.with(gc.local), reg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
 		t.Fatalf("buildEngine: %v", err)
 	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Storage(); got != core.StorageDense {
-		t.Errorf("locally pinned worker resolved %v, want dense", got)
+	if got, want := gc.resolved(e), gc.render(t, gc.local); got != want {
+		t.Errorf("locally pinned worker resolved %s, want %s", got, want)
 	}
 
-	// A corrupt grant is a hard registration error, not a silent auto.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt grant is a permanent registration error, not a silent
+	// default ...
 	bad := *reg
-	bad.Storage = "columnar"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted an unknown storage grant")
-	}
-}
-
-func TestStorageGrantOmittedOnAuto(t *testing.T) {
-	c := newCoord(t, testProblem(32, 5), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Storage != "" {
-		t.Errorf("auto coordinator granted storage %q, want empty (decide locally)", reg.Storage)
-	}
-}
-
-func TestBackendGrantPropagatesToWorkerEngine(t *testing.T) {
-	p := testProblem(48, 6)
-	c := newCoord(t, p, CoordinatorConfig{Backend: core.BackendTabu})
-	reg := mustRegister(t, c, "w-grant")
-	if reg.Backend != "tabu" {
-		t.Fatalf("registration grant backend = %q, want \"tabu\"", reg.Backend)
-	}
-
-	// A worker left on auto inherits the coordinator's choice.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Backend(); got != core.BackendTabu {
-		t.Errorf("auto worker resolved %v, want tabu from the grant", got)
-	}
-
-	// An explicit local setting wins over the grant.
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Backend: core.BackendSB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Backend(); got != core.BackendSB {
-		t.Errorf("locally pinned worker resolved %v, want sb", got)
-	}
-
-	// A corrupt grant is a hard registration error, not a silent auto.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *reg
-	bad.Backend = "columnar"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted an unknown backend grant")
-	}
-}
-
-func TestBackendGrantOmittedOnAuto(t *testing.T) {
-	c := newCoord(t, testProblem(32, 7), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Backend != "" {
-		t.Errorf("auto coordinator granted backend %q, want empty (decide locally)", reg.Backend)
-	}
-}
-
-func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
-	p := testProblem(48, 8)
-	c := newCoord(t, p, CoordinatorConfig{Diversity: "radius=4,floor=0.2"})
-	reg := mustRegister(t, c, "w-grant")
-	if reg.Diversity != "radius=4,floor=0.2" {
-		t.Fatalf("registration grant diversity = %q", reg.Diversity)
-	}
-	// The coordinator's own authoritative pool runs the granted
-	// admission policy too.
-	if c.cfg.GA.Policy == nil {
-		t.Error("coordinator pool has no admission policy despite radius > 0")
-	}
-
-	// A worker with no local spec inherits the grant.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Options().Diversity; got.Radius != 4 || got.Floor != 0.2 {
-		t.Errorf("auto worker diversity = %+v, want radius 4 floor 0.2 from the grant", got)
-	}
-
-	// An explicit local spec wins over the grant — including the "off"
-	// opt-out, which pins the static pre-DABS behaviour.
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Diversity: "off"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Options().Diversity; got.Radius != 0 || got.Floor < 1.0 {
-		t.Errorf("locally opted-out worker diversity = %+v, want the static spec", got)
-	}
-
-	// A corrupt grant is a hard (permanent) registration error.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *reg
-	bad.Diversity = "radius=banana"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted a corrupt diversity grant")
+	bad.RunSpec = gc.with(gc.bad)
+	if _, err := build("w-bad", core.RunSpec{}, &bad); err == nil {
+		t.Error("buildEngine accepted a corrupt grant")
 	} else if !Permanent(err) {
 		t.Errorf("corrupt grant error should be permanent, got %v", err)
 	}
-
-	// A corrupt LOCAL spec is also permanent, and blamed on the worker.
-	w4, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad-local", Diversity: "turbo=1"})
-	if err != nil {
-		t.Fatal(err)
+	// ... unless a local value overrides it: then it is never parsed.
+	if _, err := build("w-override", gc.with(gc.local), &bad); err != nil {
+		t.Errorf("corrupt but overridden grant failed the build: %v", err)
 	}
-	if err := w4.buildEngine(p, reg); err == nil {
-		w4.engine.Finish(true)
-		t.Error("buildEngine accepted a corrupt local diversity spec")
+
+	// A corrupt local value is permanent too, and blamed on the worker.
+	if _, err := build("w-bad-local", gc.with(gc.bad), reg); err == nil {
+		t.Error("buildEngine accepted a corrupt local value")
 	} else if !Permanent(err) || !strings.Contains(err.Error(), "local") {
-		t.Errorf("corrupt local spec error = %v, want permanent mentioning 'local'", err)
+		t.Errorf("corrupt local value error = %v, want permanent mentioning 'local'", err)
+	}
+}
+
+// checkGrantRejectedAtCoordinator: the coordinator rejects a corrupt
+// grant up front.
+func checkGrantRejectedAtCoordinator(t *testing.T, gc grantCase) {
+	t.Helper()
+	if _, err := NewCoordinator(testProblem(16, 9), CoordinatorConfig{MaxDuration: time.Minute, Run: gc.with(gc.bad)}); err == nil {
+		t.Errorf("NewCoordinator accepted a corrupt %s grant", gc.field)
+	}
+}
+
+// checkGrantOmitted: an unset coordinator, empty or "auto", grants
+// nothing.
+func checkGrantOmitted(t *testing.T, gc grantCase) {
+	t.Helper()
+	for _, unset := range []string{"", "auto"} {
+		c := newCoord(t, testProblem(32, 5), CoordinatorConfig{Run: gc.with(unset)})
+		if reg := mustRegister(t, c, "w"); reg.RunSpec != (core.RunSpec{}) {
+			t.Errorf("coordinator with %s %q granted %+v, want nothing (decide locally)", gc.field, unset, reg.RunSpec)
+		}
+	}
+}
+
+func TestStorageGrantPropagatesToWorkerEngine(t *testing.T) {
+	checkGrantPropagates(t, storageGrant)
+	checkGrantRejectedAtCoordinator(t, storageGrant)
+}
+
+func TestStorageGrantOmittedOnAuto(t *testing.T) { checkGrantOmitted(t, storageGrant) }
+
+func TestBackendGrantPropagatesToWorkerEngine(t *testing.T) {
+	checkGrantPropagates(t, backendGrant)
+	checkGrantRejectedAtCoordinator(t, backendGrant)
+}
+
+func TestBackendGrantOmittedOnAuto(t *testing.T) { checkGrantOmitted(t, backendGrant) }
+
+func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
+	checkGrantPropagates(t, diversityGrant)
+	// The coordinator's own authoritative pool runs a granted admission
+	// policy too.
+	c := newCoord(t, testProblem(16, 8), CoordinatorConfig{Run: diversityGrant.with(diversityGrant.grant)})
+	if c.cfg.GA.Policy == nil {
+		t.Error("coordinator pool has no admission policy despite radius > 0")
 	}
 }
 
 func TestDiversityGrantRejectedAtCoordinator(t *testing.T) {
-	_, err := NewCoordinator(testProblem(16, 9), CoordinatorConfig{
-		MaxDuration: time.Minute,
-		Diversity:   "radius=banana",
-	})
-	if err == nil {
-		t.Fatal("NewCoordinator accepted a malformed diversity grant")
-	}
+	checkGrantRejectedAtCoordinator(t, diversityGrant)
 }
 
-func TestDiversityGrantOmittedByDefault(t *testing.T) {
-	c := newCoord(t, testProblem(32, 10), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Diversity != "" {
-		t.Errorf("default coordinator granted diversity %q, want empty (decide locally)", reg.Diversity)
-	}
-}
+func TestDiversityGrantOmittedByDefault(t *testing.T) { checkGrantOmitted(t, diversityGrant) }

@@ -42,24 +42,12 @@ type CoordinatorConfig struct {
 	// host-side energy recheck) — see core.Gate.
 	TrustPublications bool
 
-	// Storage is the engine representation granted to workers at
-	// registration (RegisterResponse.Storage). StorageAuto, the
-	// default, leaves the choice to each worker's density heuristic;
-	// StorageDense/StorageSparse pin the whole cluster.
-	Storage core.Storage
-
-	// Backend is the solver backend granted to workers at registration
-	// (RegisterResponse.Backend), by registered name. BackendAuto, the
-	// default, leaves the choice to each worker; a named backend pins
-	// the whole cluster (a worker's explicit setting still wins).
-	Backend core.Backend
-
-	// Diversity is the DABS tuning granted to workers at registration
-	// (RegisterResponse.Diversity), as a diversity.ParseSpec string.
-	// Empty leaves each worker on its own setting; a non-empty spec
-	// pins the whole cluster (a worker's explicit -diversity still
-	// wins). Validated by NewCoordinator.
-	Diversity string
+	// Run is the storage, backend and diversity granted to workers
+	// at registration (RegisterResponse.RunSpec). Unset fields leave
+	// the choice to each worker; a set field pins the whole cluster,
+	// though a worker's own set field still wins. Validated by
+	// NewCoordinator.
+	Run core.RunSpec
 
 	// LeaseTTL is how long a granted lease survives without a heartbeat
 	// or publish from its worker before its target is redistributed.
@@ -107,17 +95,16 @@ func (c CoordinatorConfig) normalize() (CoordinatorConfig, error) {
 	if c.TargetEnergy == nil && c.MaxDuration == 0 && c.MaxFlips == 0 {
 		return c, fmt.Errorf("cluster: no stop condition set (TargetEnergy, MaxDuration or MaxFlips)")
 	}
-	if c.Diversity != "" {
-		spec, err := diversity.ParseSpec(c.Diversity)
-		if err != nil {
-			return c, err
-		}
-		// The grant also applies to the coordinator's own authoritative
-		// pool: cluster publishes pass the same diversity admission the
-		// workers run locally.
-		if spec.Radius > 0 && c.GA.Policy == nil {
-			c.GA.Policy = diversity.NewPolicy(spec)
-		}
+	var granted core.Options
+	if err := c.Run.Apply(&granted); err != nil {
+		return c, err
+	}
+	c.Run = c.Run.Over(core.RunSpec{}) // "auto" fields leave the grant
+	// The diversity grant also applies to the coordinator's own
+	// authoritative pool: cluster publishes pass the same admission the
+	// workers run locally.
+	if granted.Diversity.Radius > 0 && c.GA.Policy == nil {
+		c.GA.Policy = diversity.NewPolicy(granted.Diversity)
 	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 10 * time.Second
@@ -501,14 +488,6 @@ func (c *Coordinator) Register(ctx context.Context, req RegisterRequest) (resp *
 		c.workers[id] = w
 	}
 	c.metrics.registered(sp.Context(), w.id, len(c.workers))
-	storage := ""
-	if c.cfg.Storage != core.StorageAuto {
-		storage = c.cfg.Storage.String()
-	}
-	backendGrant := ""
-	if c.cfg.Backend != core.BackendAuto {
-		backendGrant = c.cfg.Backend.String()
-	}
 	return &RegisterResponse{
 		WorkerID:        w.id,
 		Problem:         c.problemText,
@@ -517,9 +496,7 @@ func (c *Coordinator) Register(ctx context.Context, req RegisterRequest) (resp *
 		HeartbeatMillis: (c.cfg.LeaseTTL / 3).Milliseconds(),
 		LeaseBatch:      c.cfg.LeaseBatch,
 		TargetEnergy:    c.cfg.TargetEnergy,
-		Storage:         storage,
-		Backend:         backendGrant,
-		Diversity:       c.cfg.Diversity,
+		RunSpec:         c.cfg.Run,
 		Trace:           c.trace.Traceparent(),
 		Done:            c.isDone(),
 	}, nil

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 
+	"abs/internal/core"
 	"abs/internal/telemetry"
 )
 
@@ -75,21 +76,11 @@ type RegisterResponse struct {
 	// LeaseBatch is the suggested number of targets per Lease call.
 	LeaseBatch   int    `json:"lease_batch"`
 	TargetEnergy *int64 `json:"target_energy,omitempty"`
-	// Storage is the coordinator's engine-representation choice
-	// ("dense" or "sparse"; empty means decide locally by density), so
-	// one cluster-wide flag reaches every worker with the problem.
-	// A worker's own explicit -storage setting wins over this.
-	Storage string `json:"storage,omitempty"`
-	// Backend is the coordinator's solver-backend choice by registered
-	// name ("straight", "sb", "tabu", "race"; empty means decide
-	// locally), granted the same way Storage is. A worker's own
-	// explicit -backend setting wins over this.
-	Backend string `json:"backend,omitempty"`
-	// Diversity is the coordinator's DABS tuning as a
-	// diversity.ParseSpec string (empty means decide locally), granted
-	// the same way Storage and Backend are. A worker's own explicit
-	// -diversity setting wins over this.
-	Diversity string `json:"diversity,omitempty"`
+	// RunSpec is the coordinator's storage, backend and diversity
+	// grant, under the "storage", "backend" and "diversity" keys; an
+	// empty field leaves the choice to the worker. A worker's own set
+	// fields win over it (WorkerConfig.Run).
+	core.RunSpec
 	// Trace is the run's root span context as a W3C-traceparent-style
 	// value (telemetry.ParseTraceparent). Workers parent their own spans
 	// under it, so one stitched trace covers the whole cluster run.

@@ -11,7 +11,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
 	"abs/internal/retry"
@@ -43,25 +42,13 @@ type WorkerConfig struct {
 	// means 24 h.
 	MaxDuration time.Duration
 
-	// Storage pins the local engine representation. The default,
-	// core.StorageAuto, defers to the coordinator's registration grant
-	// when it names one and otherwise to the density heuristic; an
-	// explicit dense/sparse setting here always wins (a heterogeneous
-	// node may know better than the cluster-wide default).
-	Storage core.Storage
-
-	// Backend pins the local solver backend. The default,
-	// core.BackendAuto, defers to the coordinator's registration grant
-	// when it names one and otherwise to the straight default; an
-	// explicit backend here always wins.
-	Backend core.Backend
-
-	// Diversity pins the local DABS tuning as a diversity.ParseSpec
-	// string. Empty defers to the coordinator's registration grant
-	// when it carries one and otherwise to the defaults; an explicit
-	// spec here always wins (the literal "off" is how a node opts out
-	// locally against a cluster-wide grant).
-	Diversity string
+	// Run pins the local storage, backend and diversity choices.
+	// Each field it leaves unset defers to the coordinator's
+	// registration grant, then to the engine default (core.RunSpec.Over);
+	// a set field always wins, so a heterogeneous node may overrule the
+	// cluster-wide choice and diversity "off" opts a node out of a
+	// granted DABS tuning.
+	Run core.RunSpec
 
 	// Reconnect paces re-registration after losing the coordinator.
 	// The zero value means {Base: 100ms, Factor: 2, Max: 5s,
@@ -360,35 +347,12 @@ func (w *Worker) buildEngine(p *qubo.Problem, reg *RegisterResponse) error {
 	opt.NumGPUs = w.cfg.Devices
 	opt.Seed = reg.Seed
 	opt.TargetEnergy = reg.TargetEnergy
-	opt.Storage = w.cfg.Storage
-	if opt.Storage == core.StorageAuto && reg.Storage != "" {
-		s, err := core.ParseStorage(reg.Storage)
-		if err != nil {
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad storage grant: %w", err))
-		}
-		opt.Storage = s
+	if err := w.cfg.Run.Validate(); err != nil {
+		return MarkPermanent(fmt.Errorf("cluster: bad local run spec: %w", err))
 	}
-	opt.Backend = w.cfg.Backend
-	if opt.Backend == core.BackendAuto && reg.Backend != "" {
-		b, err := core.ParseBackend(reg.Backend)
-		if err != nil {
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad backend grant: %w", err))
-		}
-		opt.Backend = b
-	}
-	divSpec := w.cfg.Diversity
-	if divSpec == "" {
-		divSpec = reg.Diversity
-	}
-	if divSpec != "" {
-		d, err := diversity.ParseSpec(divSpec)
-		if err != nil {
-			if w.cfg.Diversity != "" {
-				return MarkPermanent(fmt.Errorf("cluster: bad local diversity spec: %w", err))
-			}
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad diversity grant: %w", err))
-		}
-		opt.Diversity = d
+	// The local spec parsed, so a failure here is the grant's.
+	if err := w.cfg.Run.Over(reg.RunSpec).Apply(&opt); err != nil {
+		return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad grant: %w", err))
 	}
 	opt.MaxDuration = w.cfg.MaxDuration
 	opt.Telemetry = w.cfg.Registry

@@ -422,7 +422,7 @@ func (e *Engine) Detach(dev *gpusim.Device) bool {
 // Respawn supersedes the incarnation of global slot g with a fresh one,
 // reporting false when g's device is not currently attached (the
 // supervisor keeps probing detached slots; that is harmless). fn is the
-// block program, as in gpusim.Run.Respawn.
+// block program, as in gpusim.DeviceRun.Respawn.
 func (e *Engine) Respawn(g int, fn gpusim.BlockFunc) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()

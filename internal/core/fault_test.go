@@ -158,7 +158,8 @@ func TestSolveDeviceFailureDegrades(t *testing.T) {
 // once — the supervisor must re-baseline instead of respawning the
 // fleet (which would only deepen the starvation).
 func TestSupervisorStarvationGuard(t *testing.T) {
-	c, err := gpusim.NewCluster(gpusim.ScaledCPU(1), 1)
+	dev := &gpusim.Device{Spec: gpusim.ScaledCPU(1)}
+	occ, err := dev.Spec.Occupancy(64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestSupervisorStarvationGuard(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	run, err := c.Launch(64, 16, fn)
+	run, err := dev.Launch(occ.ActiveBlocks, 0, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestSupervisorStarvationGuard(t *testing.T) {
 	}
 	grace := 50 * time.Millisecond
 	sup := newSupervisor(run, stats, targets, host, nil, fn, grace,
-		run.Occupancy().ActiveBlocks, nil)
+		occ.ActiveBlocks, nil)
 
 	t0 := time.Now()
 	for i := range stats.slots {

@@ -228,18 +228,37 @@ func TestTargetBufferVersions(t *testing.T) {
 	}
 }
 
+// launchAll launches fn on every resident block of an n-bit shape at p
+// bits per thread across a fleet of the given size, numbering the
+// global slots contiguously device by device, as core does.
+func launchAll(t *testing.T, spec DeviceSpec, devices, n, p int, fn BlockFunc) []*DeviceRun {
+	t.Helper()
+	occ, err := spec.Occupancy(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFleet(spec, devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]*DeviceRun, f.Size())
+	for i := range runs {
+		if runs[i], err = f.Device(i).Launch(occ.ActiveBlocks, i*occ.ActiveBlocks, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return runs
+}
+
 func TestClusterLaunchRunsAllBlocks(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(2), 3)
+	occ, err := ScaledCPU(2).Occupancy(256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.TotalBlocks(256, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := occ.ActiveBlocks * 3
 	var started atomic.Int64
 	seen := make([]atomic.Bool, want)
-	run, err := c.Launch(256, 16, func(bc BlockContext) {
+	runs := launchAll(t, ScaledCPU(2), 3, 256, 16, func(bc BlockContext) {
 		started.Add(1)
 		if seen[bc.GlobalBlock].Swap(true) {
 			t.Errorf("duplicate global block %d", bc.GlobalBlock)
@@ -247,13 +266,16 @@ func TestClusterLaunchRunsAllBlocks(t *testing.T) {
 		for !bc.Stopped() {
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	blocks := 0
+	for _, r := range runs {
+		blocks += r.Blocks()
 	}
-	if run.Blocks() != want {
-		t.Errorf("Blocks() = %d, want %d", run.Blocks(), want)
+	if blocks != want {
+		t.Errorf("Blocks() sum to %d, want %d", blocks, want)
 	}
-	run.Stop()
+	for _, r := range runs {
+		r.Stop()
+	}
 	if int(started.Load()) != want {
 		t.Errorf("started %d blocks, want %d", started.Load(), want)
 	}
@@ -262,23 +284,25 @@ func TestClusterLaunchRunsAllBlocks(t *testing.T) {
 			t.Errorf("global block %d never ran", i)
 		}
 	}
-	run.Stop() // idempotent
+	runs[0].Stop() // idempotent
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	if _, err := NewCluster(TuringRTX2080Ti(), 0); err == nil {
-		t.Error("zero-GPU cluster accepted")
+	if _, err := NewFleet(TuringRTX2080Ti(), 0); err == nil {
+		t.Error("zero-GPU fleet accepted")
 	}
-	c, _ := NewCluster(TuringRTX2080Ti(), 1)
-	if _, err := c.Launch(2048, 1, func(BlockContext) {}); err == nil {
-		t.Error("infeasible launch accepted")
+	if _, err := TuringRTX2080Ti().Occupancy(2048, 1); err == nil {
+		t.Error("infeasible shape accepted")
+	}
+	d := &Device{Spec: TuringRTX2080Ti()}
+	if _, err := d.Launch(0, 0, func(BlockContext) {}); err == nil {
+		t.Error("empty launch accepted")
 	}
 }
 
 func TestBlockContextDeterministicIdentity(t *testing.T) {
-	c, _ := NewCluster(ScaledCPU(1), 2)
 	var maxDev, maxBlk atomic.Int64
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	runs := launchAll(t, ScaledCPU(1), 2, 64, 16, func(bc BlockContext) {
 		if int64(bc.Device) > maxDev.Load() {
 			maxDev.Store(int64(bc.Device))
 		}
@@ -288,10 +312,9 @@ func TestBlockContextDeterministicIdentity(t *testing.T) {
 		r := rng.New(uint64(bc.GlobalBlock))
 		_ = r.Uint64()
 	})
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range runs {
+		r.Stop()
 	}
-	run.Stop()
 	if maxDev.Load() != 1 {
 		t.Errorf("max device = %d, want 1", maxDev.Load())
 	}

@@ -14,28 +14,25 @@ import (
 // panic. Run under -race this also proves Stop's internal state is
 // properly synchronized.
 func TestRunStopConcurrentIdempotent(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	runs := launchAll(t, ScaledCPU(1), 2, 64, 16, func(bc BlockContext) {
 		for !bc.Stopped() {
 			time.Sleep(50 * time.Microsecond)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run.Stop()
-		}()
+		for _, run := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run.Stop()
+			}()
+		}
 	}
 	wg.Wait()
-	run.Stop() // and once more after everything joined
+	for _, run := range runs {
+		run.Stop() // and once more after everything joined
+	}
 }
 
 // TestTargetBufferConcurrent hammers Store and Load from concurrent
@@ -155,10 +152,6 @@ func TestUnboundedSolutionBufferNeverDrops(t *testing.T) {
 // replacement runs with the same identity, a bumped incarnation, and
 // that the superseded goroutine observes its halt flag.
 func TestRespawnReplacesIncarnation(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var started [8]atomic.Int64 // by incarnation, for block 0
 	fn := func(bc BlockContext) {
 		if bc.GlobalBlock == 0 && bc.Incarnation < len(started) {
@@ -168,10 +161,7 @@ func TestRespawnReplacesIncarnation(t *testing.T) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	run, err := c.Launch(64, 16, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := launchAll(t, ScaledCPU(1), 1, 64, 16, fn)[0]
 	if run.Incarnation(0) != 0 {
 		t.Errorf("fresh slot incarnation %d", run.Incarnation(0))
 	}
@@ -203,21 +193,14 @@ func TestRespawnReplacesIncarnation(t *testing.T) {
 // TestHaltStopsOnlyOneSlot halts one block and confirms the others keep
 // running until the run-wide Stop.
 func TestHaltStopsOnlyOneSlot(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var alive atomic.Int64
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	run := launchAll(t, ScaledCPU(1), 1, 64, 16, func(bc BlockContext) {
 		alive.Add(1)
 		defer alive.Add(-1)
 		for !bc.Stopped() {
 			time.Sleep(20 * time.Microsecond)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})[0]
 	total := int64(run.Blocks())
 	deadline := time.Now().Add(time.Second)
 	for alive.Load() != total && time.Now().Before(deadline) {

@@ -17,7 +17,7 @@
 //     target buffer, solution buffer with a monotonic counter polled by
 //     the host, as in §3.1 Step 2).
 //
-// Blocks themselves execute as goroutines on the CPU (cluster.go), so
+// Blocks themselves execute as goroutines on the CPU (fleet.go), so
 // every algorithmic code path of the paper runs for real; only the raw
 // instruction throughput is modelled rather than reproduced.
 package gpusim

@@ -73,14 +73,12 @@ type jobRequest struct {
 	Seed         uint64 `json:"seed,omitempty"`
 	// MaxDevices caps the job's fair share of the fleet (0 = no cap).
 	MaxDevices int `json:"max_devices,omitempty"`
-	// Backend selects the solver backend by registered name; empty
-	// inherits the service default. Unknown names get a 400 listing the
-	// registered backends (see GET /v1/backends).
-	Backend string `json:"backend,omitempty"`
-	// Diversity tunes the job's DABS control loops as a spec string
-	// ("radius=8,floor=0.2", "off"); empty inherits the service
-	// default. Malformed specs get a 400.
-	Diversity string `json:"diversity,omitempty"`
+	// RunSpec carries "backend" (a registered name; GET /v1/backends
+	// lists them) and "diversity" (a spec string such as
+	// "radius=8,floor=0.2", or "off"); unset inherits the service
+	// default, and a bad value gets a 400. Storage is service-wide, so
+	// a body that names "storage" gets a 400 too.
+	core.RunSpec
 }
 
 type randomSpec struct {
@@ -227,8 +225,7 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 		TargetEnergy: req.TargetEnergy,
 		Seed:         req.Seed,
 		MaxDevices:   req.MaxDevices,
-		Backend:      req.Backend,
-		Diversity:    req.Diversity,
+		RunSpec:      req.RunSpec,
 	}
 	if req.Time != "" {
 		d, err := time.ParseDuration(req.Time)

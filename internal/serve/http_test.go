@@ -254,6 +254,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"negative n", `{"random": {"n": -4}, "max_flips": 10}`},
 		{"unknown field", `{"random": {"n": 8}, "max_flips": 10, "frobnicate": 1}`},
 		{"unknown backend", `{"random": {"n": 8}, "max_flips": 10, "backend": "columnar"}`},
+		{"per-job storage", `{"random": {"n": 8}, "max_flips": 10, "storage": "dense"}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {

@@ -52,18 +52,12 @@ type JobSpec struct {
 	// Seed overrides the default host seed when non-zero.
 	Seed uint64
 
-	// Backend selects the solver backend for this job by registered
-	// name ("straight", "sb", "tabu", "race", ...). Empty inherits the
-	// service's default options. Unknown names are rejected at submit
-	// time with core.ErrUnknownBackend.
-	Backend string
-
-	// Diversity tunes the job's DABS control loops as a
-	// diversity.ParseSpec string ("radius=8,floor=0.2", "off", ...):
-	// the pool's Hamming-distance admission policy and the race
-	// backend's adaptive unit allocator. Empty inherits the service's
-	// default options; malformed specs are rejected at submit time.
-	Diversity string
+	// RunSpec picks the job's solver backend ("straight", "sb", ...)
+	// and DABS diversity tuning ("radius=8,floor=0.2", "off", ...).
+	// Unset fields inherit the service's default options; bad values
+	// are rejected at submit time. Storage is service-wide
+	// (Config.Defaults), so a job that sets it is rejected too.
+	core.RunSpec
 
 	// MaxDevices caps how many fleet devices the scheduler may ever
 	// allocate to this job. Zero means no cap (the whole fleet);

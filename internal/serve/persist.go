@@ -44,8 +44,10 @@ type jobRecord struct {
 	TargetEnergy    *int64 `json:"target_energy,omitempty"`
 	Seed            uint64 `json:"seed,omitempty"`
 	MaxDevices      int    `json:"max_devices,omitempty"`
-	Backend         string `json:"backend,omitempty"`
 	SubmittedUnixMS int64  `json:"submitted_unix_ms,omitempty"`
+	// RunSpec adds the "backend" and "diversity" keys; a record that
+	// lacks one (older journals carry no diversity) restores it unset.
+	core.RunSpec
 
 	// Done records.
 	State          string `json:"state,omitempty"`
@@ -75,7 +77,7 @@ func specRecord(j *Job) (jobRecord, error) {
 		TargetEnergy:    j.spec.TargetEnergy,
 		Seed:            j.spec.Seed,
 		MaxDevices:      j.spec.MaxDevices,
-		Backend:         j.spec.Backend,
+		RunSpec:         j.spec.RunSpec,
 		SubmittedUnixMS: j.submitted.UnixMilli(),
 	}, nil
 }
@@ -207,16 +209,20 @@ func loadJobs(st store.Store, retain int) (*restoredState, error) {
 			TargetEnergy: e.spec.TargetEnergy,
 			Seed:         e.spec.Seed,
 			MaxDevices:   e.spec.MaxDevices,
-			Backend:      e.spec.Backend,
+			RunSpec:      e.spec.RunSpec,
 		}
 		submitted := time.UnixMilli(e.spec.SubmittedUnixMS)
 		p, perr := qubo.ReadText(strings.NewReader(e.spec.Problem))
+		verr := spec.validateRun()
 		switch {
 		case e.done != nil:
 			out.settled = append(out.settled, restoreSettled(id, spec, p, submitted, e.done))
 		case perr != nil:
 			out.settled = append(out.settled, restoreFailed(id, spec, submitted,
 				fmt.Errorf("serve: restored problem for %s no longer parses: %w", id, perr)))
+		case verr != nil:
+			out.settled = append(out.settled, restoreFailed(id, spec, submitted,
+				fmt.Errorf("serve: restored spec for %s no longer validates: %w", id, verr)))
 		default:
 			out.requeue = append(out.requeue, &requeueJob{id: id, spec: spec, problem: p, submitted: submitted})
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"abs/internal/core"
 	"abs/internal/qubo"
 	"abs/internal/store"
 )
@@ -41,8 +42,10 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	}
 
 	// Job 2 has an hour of budget: it cannot finish before the crash.
+	// Its backend and diversity choices must survive the restart.
 	p2 := testProblem(40, 2)
-	j2, err := s1.Submit(context.Background(), p2, JobSpec{Name: "long", MaxDuration: time.Hour})
+	run2 := core.RunSpec{Backend: "tabu", Diversity: "radius=8,floor=0.2"}
+	j2, err := s1.Submit(context.Background(), p2, JobSpec{Name: "long", MaxDuration: time.Hour, RunSpec: run2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +91,11 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 		t.Fatalf("restarted service lost unfinished job %s", j2.ID())
 	}
 	waitFor(t, "restored job 2 running", func() bool { return r2.Status().State == StateRunning })
-	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour {
+	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.RunSpec != run2 {
 		t.Errorf("restored spec = %+v, want the original", got)
+	}
+	if opt := r2.opt; opt.Backend != core.BackendTabu || opt.Diversity.Radius != 8 || opt.Diversity.Floor != 0.2 {
+		t.Errorf("restored job runs backend %v diversity %v, want tabu radius=8 floor=0.2", opt.Backend, opt.Diversity)
 	}
 
 	// The ID counter resumed: a new submission must not collide.
@@ -221,10 +227,58 @@ func TestRequeuedJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestRestoreBackendOnlyRecord plants a spec record in the journal
+// format written before diversity was recorded, with its "backend" key,
+// and checks it restores under that backend and runs to completion.
+func TestRestoreBackendOnlyRecord(t *testing.T) {
+	p := testProblem(40, 8)
+	var text strings.Builder
+	if err := qubo.WriteText(&text, p); err != nil {
+		t.Fatal(err)
+	}
+	problem, err := json.Marshal(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"kind":"spec","id":"job-3","name":"old","problem":` + string(problem) +
+		`,"max_flips":2000,"backend":"tabu","submitted_unix_ms":1700000000000}`
+	mem := store.NewMem()
+	if err := mem.Append(jobsLog, []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(storedConfig(1, mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, ok := s.Job("job-3")
+	if !ok {
+		t.Fatal("planted job not restored")
+	}
+	if got := j.Spec(); got.Name != "old" || got.MaxFlips != 2000 || got.RunSpec != (core.RunSpec{Backend: "tabu"}) {
+		t.Errorf("restored spec = %+v, want name old, 2000 flips, backend tabu", got)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("restored job did not finish: %v", err)
+	}
+	if res.Backend != core.BackendTabu || p.Energy(res.Best) != res.BestEnergy {
+		t.Errorf("restored job ran backend %v with energy %d (recomputed %d), want tabu and a consistent result",
+			res.Backend, res.BestEnergy, p.Energy(res.Best))
+	}
+}
+
 // TestRestoreFailedRecord: a done record with an error restores as a
-// queryable failure, and a spec whose problem text rotted restores as
-// failed rather than vanishing or crashing the restore.
+// queryable failure, and a spec whose problem text rotted or whose run
+// spec no longer validates restores as failed rather than vanishing or
+// crashing the restore.
 func TestRestoreDegradedRecords(t *testing.T) {
+	var sb strings.Builder
+	if err := qubo.WriteText(&sb, testProblem(16, 9)); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
 	mem := store.NewMem()
 	append_ := func(rec jobRecord) {
 		data, err := json.Marshal(rec)
@@ -237,6 +291,7 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	}
 	append_(jobRecord{Kind: "spec", ID: "job-1", Problem: "not a qubo file"})
 	append_(jobRecord{Kind: "spec", ID: "job-2", Problem: "also garbage"})
+	append_(jobRecord{Kind: "spec", ID: "job-3", Problem: text, RunSpec: core.RunSpec{Backend: "columnar"}})
 	append_(jobRecord{Kind: "done", ID: "job-2", State: string(StateFailed), Error: "engine exploded"})
 
 	s, err := New(storedConfig(1, mem))
@@ -258,5 +313,12 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	}
 	if st := j2.Status(); st.State != StateFailed || !strings.Contains(st.Error, "engine exploded") {
 		t.Errorf("restored failure = %s %q, want the recorded error", st.State, st.Error)
+	}
+	j3, ok := s.Job("job-3")
+	if !ok {
+		t.Fatal("unknown-backend job vanished")
+	}
+	if st := j3.Status(); st.State != StateFailed || !strings.Contains(st.Error, "columnar") {
+		t.Errorf("unknown-backend spec = %s %q, want failed naming the backend", st.State, st.Error)
 	}
 }

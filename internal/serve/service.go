@@ -35,7 +35,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
 	"abs/internal/store"
@@ -385,10 +384,8 @@ func (s *Service) Submit(ctx context.Context, p *qubo.Problem, spec JobSpec) (*J
 	if spec.MaxDevices < 0 {
 		return nil, fmt.Errorf("serve: MaxDevices must be non-negative, got %d", spec.MaxDevices)
 	}
-	if spec.Diversity != "" {
-		if _, err := diversity.ParseSpec(spec.Diversity); err != nil {
-			return nil, err
-		}
+	if err := spec.validateRun(); err != nil {
+		return nil, err
 	}
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -425,7 +422,18 @@ func (s *Service) Submit(ctx context.Context, p *qubo.Problem, spec JobSpec) (*J
 	return job, nil
 }
 
-// jobOptions resolves the effective options for one job.
+// validateRun checks the job's RunSpec: every set field parses, and
+// storage, which is service-wide, is unset. Submit rejects a job that
+// fails it, and a restored job that fails it settles as failed.
+func (spec JobSpec) validateRun() error {
+	if spec.Storage != "" {
+		return fmt.Errorf("serve: storage is service-wide (Config.Defaults), not per job")
+	}
+	return spec.RunSpec.Validate()
+}
+
+// jobOptions resolves the effective options for one job: the service
+// defaults with the job's set fields on top.
 func (s *Service) jobOptions(spec JobSpec) core.Options {
 	opt := s.cfg.Defaults
 	opt.Device = s.fleet.Spec()
@@ -446,17 +454,8 @@ func (s *Service) jobOptions(spec JobSpec) core.Options {
 	if spec.Seed != 0 {
 		opt.Seed = spec.Seed
 	}
-	if spec.Backend != "" {
-		opt.Backend = core.Backend(spec.Backend)
-	}
-	if spec.Diversity != "" {
-		// Submit rejected malformed specs; a corrupt persisted spec on
-		// the resubmit path falls back to the service defaults rather
-		// than losing the job.
-		if d, err := diversity.ParseSpec(spec.Diversity); err == nil {
-			opt.Diversity = d
-		}
-	}
+	// Every caller passed validateRun first, so Apply cannot fail.
+	_ = spec.RunSpec.Apply(&opt)
 	if lim := s.cfg.MaxJobDuration; lim > 0 && (opt.MaxDuration == 0 || opt.MaxDuration > lim) {
 		opt.MaxDuration = lim
 	}

@@ -30,6 +30,9 @@ go build -tags abstelemetryoff ./...
 echo "== api surface =="
 sh scripts/apicheck.sh
 
+echo "== dead packages =="
+sh scripts/deadpkg.sh
+
 echo "== go test -race =="
 # Generous timeout: the paper-shape bench tests launch thousands of
 # block goroutines, which race instrumentation slows considerably on
