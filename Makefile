@@ -92,9 +92,9 @@ backend-smoke:
 	./scripts/backend-smoke.sh
 
 # Diversity smoke: boots abs-serve with the race backend under a DABS
-# spec and asserts the abs_alloc_units gauges move (the adaptive
-# allocator reassigns units) and the pool occupies >= 2 distance
-# buckets. CI runs this in the short lane.
+# admission spec and asserts the pool occupies >= 2 distance buckets
+# and GET /v1/backends shows the race job's g mod 2 straight/tabu
+# split covering all its units. CI runs this in the short lane.
 diversity-smoke:
 	./scripts/diversity-smoke.sh
 

@@ -48,19 +48,18 @@ type (
 	// sparse).
 	Storage = core.Storage
 	// Backend selects the solver backend each search unit runs
-	// (straight, sb, tabu, race, or auto); see Backends for the live
+	// (straight, tabu, race, or auto); see Backends for the live
 	// registry with descriptions.
 	Backend = core.Backend
 	// BackendInfo describes one registered solver backend.
 	BackendInfo = backend.Info
 	// BackendStat is the per-backend tally in Result.BackendStats:
-	// publications, admissions, best energy and the final allocator
-	// unit split.
+	// admissions, improvements and the unit split.
 	BackendStat = core.BackendStat
-	// DiversitySpec bundles the DABS control knobs (arXiv 2207.03069)
-	// accepted by Options.Diversity: the pool's Hamming admission
-	// radius, distance-bucket shape, and the race backend's adaptive
-	// allocator floor/window/interval. The zero value means defaults.
+	// DiversitySpec is the DABS pool admission policy (arXiv
+	// 2207.03069) accepted by Options.Diversity: the pool's Hamming
+	// admission radius and distance-bucket shape. The zero value means
+	// defaults.
 	DiversitySpec = diversity.Spec
 	// RunSpec is the storage, backend and diversity choice in the text
 	// form flags, job specs and cluster grants carry. A set field wins
@@ -122,7 +121,7 @@ const (
 func ParseStorage(s string) (Storage, error) { return core.ParseStorage(s) }
 
 // Backend constants, re-exported from the core package. The registry
-// is open — Backends lists everything registered — but these four ship
+// is open — Backends lists everything registered — but these three ship
 // with the library.
 const (
 	// BackendAuto defers the choice: a cluster worker takes the
@@ -131,14 +130,11 @@ const (
 	// BackendStraight is the paper's §3.2 program: straight search to
 	// the pool target, then bulk local search on the window ladder.
 	BackendStraight = core.BackendStraight
-	// BackendSB is simulated bifurcation: adiabatic Hamiltonian
-	// dynamics on float spins over the exact Ising form.
-	BackendSB = core.BackendSB
 	// BackendTabu is diversified multi-start tabu search: tenure-ring
 	// local search with escalating restart kicks on stagnation.
 	BackendTabu = core.BackendTabu
-	// BackendRace splits a run's units across the whole portfolio,
-	// racing through the shared pool.
+	// BackendRace splits a run's units g mod 2 across straight and
+	// tabu, racing through the shared pool.
 	BackendRace = core.BackendRace
 )
 
@@ -156,21 +152,15 @@ func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 // descriptions, sorted by name (the body of GET /v1/backends).
 func Backends() []BackendInfo { return core.Backends() }
 
-// ParseDiversitySpec parses a "radius=8,floor=0.2"-style key=value
+// ParseDiversitySpec parses a "radius=8,buckets=4"-style key=value
 // string into a DiversitySpec (the decoder behind every -diversity CLI
 // flag, the serve job field and the cluster grant). The empty string
-// is the defaults; the literal "off" is StaticDiversitySpec.
+// and the literal "off" are the defaults.
 func ParseDiversitySpec(s string) (DiversitySpec, error) { return diversity.ParseSpec(s) }
 
-// DefaultDiversitySpec returns the adaptive defaults: pool admission
-// off (radius 0 is opt-in), race allocator adaptive with a 10%
-// exploration floor over a 3s window, rebalancing every second.
+// DefaultDiversitySpec returns the defaults: pool admission off
+// (radius 0 is opt-in), 8 distance buckets, one entry kept per bucket.
 func DefaultDiversitySpec() DiversitySpec { return diversity.DefaultSpec() }
-
-// StaticDiversitySpec returns the "off" spec — no admission policy and
-// a frozen allocator, bit-for-bit the pre-DABS behaviour (elite pool,
-// static race split).
-func StaticDiversitySpec() DiversitySpec { return diversity.StaticSpec() }
 
 // NewProblem returns an all-zero n-variable QUBO instance; fill it with
 // SetWeight/AddWeight.

@@ -17,7 +17,7 @@
 //	abs-bench -backend-report BENCH.json [-scale quick|medium|full]
 //
 // Every benchmark solve accepts -backend to pin the solver backend
-// (auto|straight|sb|tabu|race; auto means straight).
+// (auto|straight|tabu|race; auto means straight).
 //
 // -report solves a fixed seeded problem set with telemetry attached
 // and writes a machine-readable JSON report (per-device flips/sec,
@@ -118,7 +118,7 @@ func main() {
 		run      core.RunSpec
 	)
 	run.Flag(flag.CommandLine, "backend", "auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
-	run.Flag(flag.CommandLine, "diversity", "applies to every benchmark solve; -backend-report additionally sweeps a race-static row at floor=1.0")
+	run.Flag(flag.CommandLine, "diversity", "applies to every benchmark solve")
 	flag.Parse()
 	if err := bench.SetDefaultRun(run); err != nil {
 		fmt.Fprintln(os.Stderr, "abs-bench:", err)

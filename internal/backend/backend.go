@@ -6,9 +6,8 @@
 // from portfolios: "Diverse Adaptive Bulk Search" (arXiv 2207.03069)
 // races heterogeneous algorithms against one shared pool. This package
 // makes the block program a named, registered implementation of one
-// small interface, so straight search, simulated bifurcation and
-// diversified multi-start tabu are peers, selectable per job and
-// raceable on one fleet.
+// small interface, so straight search and diversified multi-start tabu
+// are peers, selectable per job and raceable on one fleet.
 //
 // The host side is untouched by design: every backend speaks the same
 // round protocol (adopt a pool target, search, surface a best), so the
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"abs/internal/bitvec"
 	"abs/internal/qubo"
@@ -62,15 +60,6 @@ type Config struct {
 	Adaptive bool
 	// AdaptivePatience is the stagnant-round threshold; zero means 8.
 	AdaptivePatience int
-
-	// Alloc tunes the adaptive portfolio allocator of meta-backends
-	// (race): the exploration floor, rate window and rebalance period
-	// of diversity.Spec. Plain backends ignore it. The zero value
-	// means diversity.DefaultSpec's allocator settings; AllocFloor >=
-	// 1.0 pins the static g mod k split.
-	AllocFloor    float64
-	AllocWindow   time.Duration
-	AllocInterval time.Duration
 }
 
 // validate checks the fields every factory relies on.
@@ -103,7 +92,7 @@ func (c Config) patience() int {
 // it from every launching block goroutine, and supervisor respawns
 // call it again mid-run for fresh incarnations.
 type Backend interface {
-	// Name is the registered name ("straight", "sb", ...).
+	// Name is the registered name ("straight", "tabu", ...).
 	Name() string
 	// UnitName reports which algorithm unit g runs — Name() for plain
 	// backends, the assigned member's name for meta-backends like

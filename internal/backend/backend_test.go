@@ -29,7 +29,7 @@ func never() bool { return false }
 
 func TestRegistryLists(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"straight", "sb", "tabu", "race"} {
+	for _, want := range []string{"straight", "tabu", "race"} {
 		if !Known(want) {
 			t.Fatalf("backend %q not registered (have %v)", want, names)
 		}
@@ -135,7 +135,7 @@ func TestRaceSplitsUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"straight", "sb", "tabu", "straight", "sb", "tabu"}
+	want := []string{"straight", "tabu", "straight", "tabu", "straight", "tabu"}
 	for g, name := range want {
 		if got := b.UnitName(g); got != name {
 			t.Errorf("race unit %d runs %q, want %q", g, got, name)

@@ -1,37 +1,26 @@
 package backend
 
-import (
-	"fmt"
-
-	"abs/internal/bitvec"
-	"abs/internal/diversity"
-)
+import "fmt"
 
 func init() {
 	Register("race",
-		"portfolio meta-backend: units split across straight, sb and tabu, adaptively reassigned toward whichever member is improving the shared pool",
+		"portfolio meta-backend: units split g mod 2 across straight and tabu, racing on one shared pool",
 		newRace)
 }
 
 // raceMembers is the portfolio the race meta-backend splits units
 // across, in assignment order.
-var raceMembers = []string{"straight", "sb", "tabu"}
+var raceMembers = []string{"straight", "tabu"}
 
-// raceBackend is the Diverse-ABS portfolio (arXiv 2207.03069): units
-// start on the static g mod len(members) split, and a
-// diversity.Allocator reassigns them at run time toward whichever
-// member's publications are improving the shared pool (the engine
-// feeds the allocator from its ingest attribution and drives the
-// rebalance clock from its pump loop). No new coordination is needed —
-// every member already publishes through the same solution buffer and
-// ingest gate and adopts targets from the same GA pool, so the
-// portfolio cross-pollinates by construction: a basin found by SB
-// becomes a target straight search refines, and vice versa. With the
-// exploration floor pinned to 1.0 the allocator is frozen and the
-// backend is bit-for-bit the original static race.
+// raceBackend is the Diverse-ABS portfolio (arXiv 2207.03069) as a
+// static split: slot g runs raceMembers[g mod len(raceMembers)] for
+// the whole run. No new coordination is needed — every member already
+// publishes through the same solution buffer and ingest gate and
+// adopts targets from the same GA pool, so the portfolio
+// cross-pollinates by construction: a basin found by tabu becomes a
+// target straight search refines, and vice versa.
 type raceBackend struct {
 	members []Backend
-	alloc   *diversity.Allocator
 }
 
 func newRace(cfg Config) (Backend, error) {
@@ -43,86 +32,14 @@ func newRace(cfg Config) (Backend, error) {
 		}
 		b.members = append(b.members, m)
 	}
-	spec := diversity.DefaultSpec()
-	spec.Floor = cfg.AllocFloor
-	if cfg.AllocWindow > 0 {
-		spec.Window = cfg.AllocWindow
-	}
-	if cfg.AllocInterval > 0 {
-		spec.Interval = cfg.AllocInterval
-	}
-	b.alloc = diversity.NewAllocator(raceMembers, cfg.Units, spec)
 	return b, nil
 }
 
 func (b *raceBackend) Name() string { return "race" }
 
-// Allocator exposes the portfolio controller; the engine discovers it
-// by interface assertion to feed improvement records and drive
-// rebalances, and to report live per-member unit counts.
-func (b *raceBackend) Allocator() *diversity.Allocator { return b.alloc }
+// UnitName reports the member slot g runs, which is what the engine
+// stamps on per-backend telemetry — so /metrics shows which portfolio
+// member the improvements come from.
+func (b *raceBackend) UnitName(g int) string { return raceMembers[g%len(raceMembers)] }
 
-// UnitName reports the member currently assigned to slot g, which is
-// what the engine stamps on per-backend telemetry — so /metrics shows
-// which portfolio member the improvements come from. Lock-free and
-// safe from any goroutine; under the adaptive allocator the answer
-// changes when the slot is reassigned.
-func (b *raceBackend) UnitName(g int) string { return b.alloc.MemberName(g) }
-
-// NewUnit builds the unit for slot g wrapped so that a later
-// reassignment takes effect in place: the wrapper polls the allocator
-// each round and swaps in a fresh unit from the new member when the
-// slot moved, re-adopting the slot's last target so the new algorithm
-// continues the same search trajectory rather than restarting cold.
-func (b *raceBackend) NewUnit(g int) Unit {
-	m := b.alloc.MemberFor(g)
-	return &raceUnit{b: b, g: g, member: m, inner: b.members[m].NewUnit(g)}
-}
-
-// raceUnit is the reassignable unit wrapper. It is owned by one block
-// goroutine like any Unit; the only cross-goroutine traffic is the
-// allocator's lock-free MemberFor poll.
-type raceUnit struct {
-	b      *raceBackend
-	g      int
-	member int
-	inner  Unit
-	lastT  *bitvec.Vector
-}
-
-// sync rebuilds the inner unit when the allocator moved this slot to
-// another member, returning the flips spent walking the fresh unit to
-// the slot's last target (zero when nothing changed or no target has
-// arrived yet).
-func (u *raceUnit) sync(stop func() bool) int {
-	m := u.b.alloc.MemberFor(u.g)
-	if m == u.member {
-		return 0
-	}
-	u.member = m
-	u.inner = u.b.members[m].NewUnit(u.g)
-	if u.lastT != nil {
-		return u.inner.Retarget(u.lastT, stop)
-	}
-	return 0
-}
-
-func (u *raceUnit) Retarget(t *bitvec.Vector, stop func() bool) int {
-	u.lastT = t
-	// A pending reassignment is folded into this retarget: the fresh
-	// unit adopts t directly instead of walking to the stale target
-	// first.
-	if m := u.b.alloc.MemberFor(u.g); m != u.member {
-		u.member = m
-		u.inner = u.b.members[m].NewUnit(u.g)
-	}
-	return u.inner.Retarget(t, stop)
-}
-
-func (u *raceUnit) Round(stop func() bool) (int, *bitvec.Vector, int64, bool) {
-	flips := u.sync(stop)
-	f, x, e, ok := u.inner.Round(stop)
-	return flips + f, x, e, ok
-}
-
-func (u *raceUnit) Window() int { return u.inner.Window() }
+func (b *raceBackend) NewUnit(g int) Unit { return b.members[g%len(b.members)].NewUnit(g) }

@@ -9,15 +9,8 @@ import (
 
 	"abs/internal/backend"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/qubo"
 )
-
-// raceStaticName is the pseudo-backend row the sweep adds next to the
-// registered backends: the race backend with its adaptive allocator
-// pinned static (floor 1.0 — the pre-DABS g%k split), the baseline the
-// adaptive "race" row is judged against.
-const raceStaticName = "race-static"
 
 // BackendReport is the per-backend time-to-target comparison written
 // by `abs-bench -backend-report FILE` (BENCH_pr8.json in the repo):
@@ -73,12 +66,7 @@ type BackendRun struct {
 // calibrated target.
 func measureBackend(p *qubo.Problem, name string, target int64, s Scale) (BackendRun, error) {
 	opt := solveOptions()
-	if name == raceStaticName {
-		opt.Backend = core.BackendRace
-		opt.Diversity = diversity.StaticSpec()
-	} else {
-		opt.Backend = core.Backend(name)
-	}
+	opt.Backend = core.Backend(name)
 	run := BackendRun{Backend: name}
 
 	res, err := MeasureRate(p, opt, s.RateBudget)
@@ -127,7 +115,7 @@ func BuildBackendReport(s Scale) (*BackendReport, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Backends:  append(backend.Names(), raceStaticName),
+		Backends:  backend.Names(),
 	}
 	problems, families, err := sparseInstances(s)
 	if err != nil {

@@ -469,13 +469,13 @@ var (
 		render:   renderAsIs,
 	}
 	backendGrant = grantCase{
-		field: "backend", grant: "tabu", local: "sb", bad: "columnar",
+		field: "backend", grant: "tabu", local: "race", bad: "columnar",
 		resolved: func(e *core.Engine) string { return e.Backend().String() },
 		render:   renderAsIs,
 	}
 	// The local "off" is the opt-out from a granted DABS tuning.
 	diversityGrant = grantCase{
-		field: "diversity", grant: "radius=4,floor=0.2", local: "off", bad: "radius=banana",
+		field: "diversity", grant: "radius=4,buckets=4", local: "off", bad: "radius=banana",
 		resolved: func(e *core.Engine) string { return e.Options().Diversity.String() },
 		render: func(t *testing.T, v string) string {
 			t.Helper()

@@ -55,7 +55,6 @@ type Engine struct {
 	storage          Storage
 	backendName      Backend         // resolved, never BackendAuto
 	be               backend.Backend // live per-slot attribution via UnitName
-	alloc            *diversity.Allocator
 	divPolicy        *diversity.Policy
 	evaluatedPerFlip float64
 	occ              gpusim.Occupancy
@@ -173,19 +172,9 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		WindowMax:        opt.WindowMax,
 		Adaptive:         opt.Adaptive,
 		AdaptivePatience: opt.AdaptivePatience,
-		AllocFloor:       opt.Diversity.Floor,
-		AllocWindow:      opt.Diversity.Window,
-		AllocInterval:    opt.Diversity.Interval,
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Meta-backends that split units across a portfolio expose their
-	// allocator; the engine feeds it improvement records from the
-	// ingest path and drives its rebalance clock from the pump loop.
-	var alloc *diversity.Allocator
-	if ab, ok := be.(interface{ Allocator() *diversity.Allocator }); ok {
-		alloc = ab.Allocator()
 	}
 
 	bufCap := opt.SolutionBufferCap
@@ -207,11 +196,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		solutions.SetObserver(metrics)
 		targets.SetObserver(metrics)
 		host.Pool().SetObserver(metrics)
-		if alloc != nil {
-			// Publish the starting split so the abs_alloc_units gauges
-			// are correct before the first rebalance.
-			metrics.allocUnits(alloc.UnitCounts())
-		}
 	}
 
 	// Warm starts join the pool with unknown energy (the host never
@@ -244,7 +228,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		storage:          storage,
 		backendName:      backendName,
 		be:               be,
-		alloc:            alloc,
 		divPolicy:        divPolicy,
 		evaluatedPerFlip: evaluatedPerFlip,
 		occ:              occ,
@@ -318,32 +301,18 @@ func (e *Engine) ingestRecord(slot int, energy int64) {
 	}
 	e.backendTally[name] = t
 	e.metrics.backendIngest(name, improved)
-	if e.alloc != nil {
-		// The adaptive allocator's rate signal: the same admission
-		// stream the abs_backend_* counters measure.
-		e.alloc.Record(name, improved, time.Now())
-	}
 }
 
-// BackendUnits returns the live per-backend unit counts: the
-// allocator's current split under a portfolio meta-backend, or every
-// unit on the single resolved backend otherwise. Safe from any
-// goroutine (GET /v1/backends reads it from running jobs).
+// BackendUnits returns the per-backend unit counts: the race
+// backend's static split across its members, or every unit on the
+// single resolved backend otherwise. Safe from any goroutine (GET
+// /v1/backends reads it from running jobs).
 func (e *Engine) BackendUnits() map[string]int {
-	if e.alloc != nil {
-		return e.alloc.UnitCounts()
+	units := make(map[string]int)
+	for g := 0; g < e.totalSlots; g++ {
+		units[e.be.UnitName(g)]++
 	}
-	return map[string]int{string(e.backendName): e.totalSlots}
-}
-
-// AllocMoves returns the total unit reassignments the adaptive
-// allocator has performed so far (0 without one). Safe from any
-// goroutine.
-func (e *Engine) AllocMoves() uint64 {
-	if e.alloc == nil {
-		return 0
-	}
-	return e.alloc.Moves()
+	return units
 }
 
 // OccupiedDistanceBuckets returns how many Hamming-distance buckets of
@@ -502,18 +471,6 @@ func (e *Engine) Pump(now time.Time) {
 		e.bestE.Store(best.E)
 		e.bestKnown.Store(true)
 	}
-	// DABS allocator tick: when the rebalance interval has elapsed,
-	// move units toward the members currently paying off and surface
-	// every move as a trace event; the abs_alloc_units gauges follow
-	// the new split.
-	if e.alloc != nil {
-		if moves := e.alloc.MaybeRebalance(now); len(moves) > 0 {
-			for _, mv := range moves {
-				e.metrics.allocReassign(mv)
-			}
-			e.metrics.allocUnits(e.alloc.UnitCounts())
-		}
-	}
 	if e.sup != nil {
 		e.sup.scan(now)
 	}
@@ -653,10 +610,8 @@ func (e *Engine) Finish(cancelled bool) *Result {
 	for name, t := range e.backendTally {
 		res.BackendStats[name] = t
 	}
-	// Final unit split: under the adaptive allocator this is where the
-	// controller left the fleet; entries are created even for members
-	// that never had a publication admitted, so the split is always
-	// visible.
+	// Unit split: entries are created even for members that never had
+	// a publication admitted, so the split is always visible.
 	for name, units := range e.BackendUnits() {
 		t := res.BackendStats[name]
 		t.Units = units

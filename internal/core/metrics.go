@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/search"
 	"abs/internal/telemetry"
@@ -57,8 +56,6 @@ type runMetrics struct {
 	backendInserted     telemetry.CounterVec
 	backendImprovements telemetry.CounterVec
 
-	allocUnitsVec   telemetry.GaugeVec
-	allocReassigns  *telemetry.Counter
 	bucketsOccupied *telemetry.Gauge
 
 	bestEnergy *telemetry.Gauge
@@ -139,10 +136,6 @@ func newRunMetrics(reg *telemetry.Registry, tracer *telemetry.Tracer, sc telemet
 		backendImprovements: reg.CounterVec("abs_backend_improvements_total",
 			"admitted publications that strictly improved the run's best energy, by producing backend", "backend"),
 
-		allocUnitsVec: reg.GaugeVec("abs_alloc_units",
-			"search units currently assigned to each portfolio member by the adaptive allocator", "backend"),
-		allocReassigns: reg.Counter("abs_alloc_reassignments_total",
-			"unit reassignments performed by the adaptive allocator"),
 		bucketsOccupied: reg.Gauge("abs_pool_distance_buckets_occupied",
 			"distance buckets (Hamming distance to the incumbent best) holding at least one pool entry"),
 
@@ -246,31 +239,6 @@ func (m *runMetrics) backendIngest(name string, improved bool) {
 	m.backendInserted.With(name).Inc()
 	if improved {
 		m.backendImprovements.With(name).Inc()
-	}
-}
-
-// allocReassign records one unit move performed by the adaptive
-// allocator: a counter bump plus a trace event naming the unit and the
-// members it left and joined.
-func (m *runMetrics) allocReassign(mv diversity.Move) {
-	if m == nil {
-		return
-	}
-	m.allocReassigns.Inc()
-	m.trace(telemetry.Event{
-		Kind: telemetry.EventAllocReassign, Device: m.device(mv.Unit), Block: mv.Unit,
-		Detail: mv.From + "->" + mv.To,
-	})
-}
-
-// allocUnits refreshes the abs_alloc_units gauges to the current
-// per-member split.
-func (m *runMetrics) allocUnits(counts map[string]int) {
-	if m == nil {
-		return
-	}
-	for name, c := range counts {
-		m.allocUnitsVec.With(name).SetInt(c)
 	}
 }
 

@@ -124,14 +124,10 @@ type Options struct {
 	// with no registered factory with ErrUnknownBackend.
 	Backend Backend
 
-	// Diversity tunes the DABS control loops (arXiv 2207.03069; see
-	// internal/diversity): Radius/Buckets/MinPerBucket configure the
-	// Hamming-distance pool admission policy (Radius 0 — the default —
-	// keeps the paper's plain elite pool), and Floor/Window/Interval
-	// tune the race backend's adaptive unit allocator (Floor >= 1.0
-	// pins the static g mod 3 split). The zero value means
-	// diversity.DefaultSpec: admission off, allocator adaptive with a
-	// 10% exploration floor.
+	// Diversity configures the DABS Hamming-distance pool admission
+	// policy (arXiv 2207.03069; see internal/diversity). The zero value
+	// means diversity.DefaultSpec: Radius 0, admission off — the
+	// paper's plain elite pool.
 	Diversity diversity.Spec
 
 	// Warm starts: vectors inserted into the solution pool before the
@@ -281,12 +277,9 @@ const (
 	// the pool target, then bulk local search on the offset-window
 	// ladder.
 	BackendStraight Backend = "straight"
-	// BackendSB runs simulated bifurcation dynamics on float spins
-	// over the Ising form of the instance.
-	BackendSB Backend = "sb"
 	// BackendTabu runs diversified multi-start tabu search.
 	BackendTabu Backend = "tabu"
-	// BackendRace splits the fleet's units across straight, sb and
+	// BackendRace splits the fleet's units g mod 2 across straight and
 	// tabu, racing the portfolio through the one shared pool.
 	BackendRace Backend = "race"
 )
@@ -380,9 +373,6 @@ func (o Options) normalize(n int) (Options, error) {
 		return o, err
 	}
 	o.Backend = b
-	if o.Diversity == (diversity.Spec{}) {
-		o.Diversity = diversity.DefaultSpec()
-	}
 	o.Diversity, err = o.Diversity.Normalize()
 	if err != nil {
 		return o, err

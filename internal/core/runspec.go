@@ -28,7 +28,7 @@ type RunSpec struct {
 	// Backend is a registered backend name (ParseBackend).
 	Backend string `json:"backend,omitempty"`
 	// Diversity is a diversity.ParseSpec string such as
-	// "radius=8,floor=0.2"; "off" pins the static pre-DABS behaviour.
+	// "radius=8,buckets=4"; "off" turns pool admission off.
 	Diversity string `json:"diversity,omitempty"`
 }
 
@@ -110,8 +110,8 @@ func (s *RunSpec) Flag(fs *flag.FlagSet, name, note string) {
 		usage, dflt = "solver backend: auto|"+strings.Join(backend.Names(), "|"), "auto means straight"
 	case "diversity":
 		f.field = func(r *RunSpec) *string { return &r.Diversity }
-		usage = "DABS tuning spec: key=value list over radius,buckets,min,floor,window,interval, or 'off'"
-		dflt = "unset means defaults: admission off, adaptive allocator with a 10% floor"
+		usage = "DABS pool admission spec: key=value list over radius,buckets,min, or 'off'"
+		dflt = "unset means defaults: admission off"
 	default:
 		panic(fmt.Sprintf("core: RunSpec has no field %q", name))
 	}

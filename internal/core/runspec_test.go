@@ -19,8 +19,8 @@ func TestRunSpecOver(t *testing.T) {
 		{RunSpec{Storage: "auto", Backend: "auto", Diversity: "auto"}, RunSpec{}, RunSpec{}},
 		{RunSpec{}, RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=4"},
 			RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=4"}},
-		{RunSpec{Storage: "auto", Backend: "sb"}, RunSpec{Storage: "dense", Backend: "tabu", Diversity: "off"},
-			RunSpec{Storage: "dense", Backend: "sb", Diversity: "off"}},
+		{RunSpec{Storage: "auto", Backend: "race"}, RunSpec{Storage: "dense", Backend: "tabu", Diversity: "off"},
+			RunSpec{Storage: "dense", Backend: "race", Diversity: "off"}},
 		// A set upper field wins without the lower one being looked at.
 		{RunSpec{Diversity: "off"}, RunSpec{Diversity: "radius=banana", Backend: "auto"},
 			RunSpec{Diversity: "off"}},
@@ -32,11 +32,11 @@ func TestRunSpecOver(t *testing.T) {
 }
 
 func TestRunSpecApply(t *testing.T) {
-	radius8, err := diversity.ParseSpec("radius=8,floor=0.2")
+	radius8, err := diversity.ParseSpec("radius=8,buckets=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{Storage: StorageDense, Backend: BackendSB, Diversity: diversity.StaticSpec()}
+	base := Options{Storage: StorageDense, Backend: BackendRace, Diversity: diversity.Spec{Radius: 3, Buckets: 5, MinPerBucket: 2}}
 	for _, tc := range []struct {
 		spec    RunSpec
 		want    Options
@@ -44,11 +44,12 @@ func TestRunSpecApply(t *testing.T) {
 	}{
 		{spec: RunSpec{}, want: base},
 		{spec: RunSpec{Storage: "auto", Backend: "auto", Diversity: "auto"}, want: base},
-		{spec: RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=8,floor=0.2"},
+		{spec: RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=8,buckets=4"},
 			want: Options{Storage: StorageSparse, Backend: BackendTabu, Diversity: radius8}},
 		{spec: RunSpec{Storage: "columnar"}, wantErr: "unknown storage"},
 		{spec: RunSpec{Backend: "columnar"}, wantErr: "registered: "},
 		{spec: RunSpec{Diversity: "radius=banana"}, wantErr: "radius"},
+		{spec: RunSpec{Diversity: "floor=0.2"}, wantErr: "unknown spec key"},
 	} {
 		o := base
 		err := tc.spec.Apply(&o)
@@ -97,17 +98,18 @@ func TestRunSpecFlags(t *testing.T) {
 		r.Flags(fs, "")
 		return r, fs.Parse(args)
 	}
-	r, err := parse("-storage", "sparse", "-backend", "race", "-diversity", "radius=8,floor=0.2")
+	r, err := parse("-storage", "sparse", "-backend", "race", "-diversity", "radius=8,buckets=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r != (RunSpec{Storage: "sparse", Backend: "race", Diversity: "radius=8,floor=0.2"}) {
+	if r != (RunSpec{Storage: "sparse", Backend: "race", Diversity: "radius=8,buckets=4"}) {
 		t.Errorf("parsed %+v", r)
 	}
 	for _, args := range [][]string{
 		{"-storage", "columnar"},
 		{"-backend", "columnar"},
 		{"-diversity", "turbo=1"},
+		{"-diversity", "floor=0.2"},
 	} {
 		if _, err := parse(args...); err == nil {
 			t.Errorf("%v accepted", args)

@@ -106,10 +106,8 @@ type BackendStat struct {
 	// the run's best energy when they arrived.
 	Inserted     uint64
 	Improvements uint64
-	// Units is the number of search units assigned to the backend when
-	// the run finished — the adaptive allocator's final split under
-	// BackendRace, every unit otherwise. It mirrors the live
-	// abs_alloc_units gauges.
+	// Units is the number of search units assigned to the backend: the
+	// static g mod 2 split under BackendRace, every unit otherwise.
 	Units int
 }
 
@@ -120,7 +118,7 @@ type BackendStat struct {
 // temperature-like ladder (§2.1) actually feed the pool.
 type BlockStat struct {
 	Device, Block int
-	// Backend is the solver backend this unit ran ("straight", "sb",
+	// Backend is the solver backend this unit ran ("straight", "tabu",
 	// ...) — under BackendRace the portfolio member assigned to the
 	// slot.
 	Backend string

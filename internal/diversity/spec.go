@@ -1,30 +1,19 @@
-// Package diversity implements the two control loops of Diverse
-// Adaptive Bulk Search (DABS, arXiv 2207.03069) on top of the ABS
-// substrate:
+// Package diversity implements the pool-admission control loop of
+// Diverse Adaptive Bulk Search (DABS, arXiv 2207.03069) on top of the
+// ABS substrate: a Hamming-distance-aware admission policy (Policy)
+// that keeps the host's solution pool spread across the landscape
+// instead of merely elite — near-duplicates are rejected unless they
+// strictly improve on the residents they crowd, and eviction from a
+// full pool preserves a minimum occupancy per distance bucket.
 //
-//   - a Hamming-distance-aware pool admission policy (Policy) that
-//     keeps the host's solution pool spread across the landscape
-//     instead of merely elite — near-duplicates are rejected unless
-//     they strictly improve on the residents they crowd, and eviction
-//     from a full pool preserves a minimum occupancy per distance
-//     bucket;
-//   - an adaptive portfolio allocator (Allocator) that replaces the
-//     race backend's static unit split with a controller tracking
-//     per-backend improvement rates over a sliding window and
-//     periodically reassigning units toward whichever algorithm is
-//     currently paying off, subject to an exploration floor so no
-//     member starves.
-//
-// The package sits below core (which wires both loops into the
-// engine) and beside backend (whose race meta-backend consults the
-// allocator); it depends only on ga and bitvec.
+// The package sits below core (which wires the policy into the
+// engine's pool); it depends only on ga and bitvec.
 package diversity
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Spec bundles every diversity-control knob so one value can be
@@ -49,50 +38,18 @@ type Spec struct {
 	// full-pool eviction never drops a bucket below this count unless
 	// the candidate itself lands in that bucket. Zero means 1.
 	MinPerBucket int
-
-	// Floor is the allocator's exploration floor, as a fraction of the
-	// equal per-member share each portfolio member always keeps
-	// regardless of its measured rate (so no backend starves and the
-	// improvement signal never goes dark). 1.0 or more freezes the
-	// allocator: the static g mod k split never moves — bit-for-bit
-	// the pre-allocator race backend.
-	Floor float64
-
-	// Window is the sliding window over which per-backend improvement
-	// rates are measured. Zero means 3s.
-	Window time.Duration
-
-	// Interval is the rebalance period: how often the allocator
-	// recomputes desired shares and moves units. Zero means 1s.
-	Interval time.Duration
 }
 
-// DefaultSpec is the adaptive default: admission policy off (Radius 0
-// — diversity admission is opt-in per job), allocator adaptive with a
-// 10% exploration floor over a 3s window, rebalancing every second.
+// DefaultSpec is the default: admission policy off (Radius 0 —
+// diversity admission is opt-in per job), 8 buckets, one entry kept
+// per bucket.
 func DefaultSpec() Spec {
-	return Spec{
-		Radius:       0,
-		Buckets:      8,
-		MinPerBucket: 1,
-		Floor:        0.1,
-		Window:       3 * time.Second,
-		Interval:     time.Second,
-	}
+	return Spec{Radius: 0, Buckets: 8, MinPerBucket: 1}
 }
 
-// StaticSpec is the "off" spec: no admission policy and a frozen
-// allocator — the exact pre-DABS behaviour (elite pool, static race
-// split).
-func StaticSpec() Spec {
-	s := DefaultSpec()
-	s.Floor = 1.0
-	return s
-}
-
-// Normalize fills defaulted zero fields (Buckets, MinPerBucket,
-// Window, Interval) and validates the result. Radius and Floor are
-// taken as-is: zero is a meaningful setting for both.
+// Normalize fills defaulted zero fields (Buckets, MinPerBucket) and
+// validates the result. Radius is taken as-is: zero disables the
+// policy.
 func (s Spec) Normalize() (Spec, error) {
 	d := DefaultSpec()
 	if s.Buckets == 0 {
@@ -100,12 +57,6 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.MinPerBucket == 0 {
 		s.MinPerBucket = d.MinPerBucket
-	}
-	if s.Window == 0 {
-		s.Window = d.Window
-	}
-	if s.Interval == 0 {
-		s.Interval = d.Interval
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -124,45 +75,30 @@ func (s Spec) Validate() error {
 	if s.MinPerBucket < 0 {
 		return fmt.Errorf("diversity: min-per-bucket %d must be >= 0", s.MinPerBucket)
 	}
-	if s.Floor < 0 {
-		return fmt.Errorf("diversity: floor %v must be >= 0", s.Floor)
-	}
-	if s.Window <= 0 {
-		return fmt.Errorf("diversity: window %v must be positive", s.Window)
-	}
-	if s.Interval <= 0 {
-		return fmt.Errorf("diversity: interval %v must be positive", s.Interval)
-	}
 	return nil
 }
 
 // String renders the spec in ParseSpec's key=value form; for every
 // valid spec, ParseSpec(s.String()) round-trips.
 func (s Spec) String() string {
-	return fmt.Sprintf("radius=%d,buckets=%d,min=%d,floor=%s,window=%s,interval=%s",
-		s.Radius, s.Buckets, s.MinPerBucket,
-		strconv.FormatFloat(s.Floor, 'g', -1, 64), s.Window, s.Interval)
+	return fmt.Sprintf("radius=%d,buckets=%d,min=%d", s.Radius, s.Buckets, s.MinPerBucket)
 }
 
 // ParseSpec parses a comma-separated key=value spec string, starting
 // from DefaultSpec and overriding only the named keys:
 //
-//	radius=8,floor=0.2
-//	radius=16,buckets=12,min=2,floor=0.1,window=3s,interval=500ms
+//	radius=8
+//	radius=16,buckets=12,min=2
 //
-// The empty string returns DefaultSpec; the literal "off" returns
-// StaticSpec (no admission policy, frozen allocator). Unknown keys and
-// malformed values are errors — a spec travels through flags and
-// cluster grants, where a typo silently ignored would be a silent
-// behaviour change.
+// The empty string and the literal "off" return DefaultSpec (no
+// admission policy). Unknown keys and malformed values are errors — a
+// spec travels through flags and cluster grants, where a typo silently
+// ignored would be a silent behaviour change.
 func ParseSpec(text string) (Spec, error) {
 	s := DefaultSpec()
 	text = strings.TrimSpace(text)
-	if text == "" {
+	if text == "" || text == "off" {
 		return s, nil
-	}
-	if text == "off" {
-		return StaticSpec(), nil
 	}
 	for _, part := range strings.Split(text, ",") {
 		part = strings.TrimSpace(part)
@@ -182,14 +118,8 @@ func ParseSpec(text string) (Spec, error) {
 			s.Buckets, err = strconv.Atoi(val)
 		case "min":
 			s.MinPerBucket, err = strconv.Atoi(val)
-		case "floor":
-			s.Floor, err = strconv.ParseFloat(val, 64)
-		case "window":
-			s.Window, err = time.ParseDuration(val)
-		case "interval":
-			s.Interval, err = time.ParseDuration(val)
 		default:
-			return Spec{}, fmt.Errorf("diversity: unknown spec key %q (known: radius, buckets, min, floor, window, interval)", key)
+			return Spec{}, fmt.Errorf("diversity: unknown spec key %q (known: radius, buckets, min)", key)
 		}
 		if err != nil {
 			return Spec{}, fmt.Errorf("diversity: bad value for %q: %v", key, err)

@@ -3,7 +3,6 @@ package diversity
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseSpecEmptyIsDefault(t *testing.T) {
@@ -21,44 +20,41 @@ func TestParseSpecOffIsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != StaticSpec() {
-		t.Fatalf("ParseSpec(\"off\") = %+v, want StaticSpec %+v", s, StaticSpec())
-	}
-	if s.Floor < 1.0 {
-		t.Fatalf("static floor %v should freeze the allocator", s.Floor)
+	if s != DefaultSpec() {
+		t.Fatalf("ParseSpec(\"off\") = %+v, want DefaultSpec %+v", s, DefaultSpec())
 	}
 	if s.Radius != 0 {
-		t.Fatalf("static radius %d should disable the admission policy", s.Radius)
+		t.Fatalf("off radius %d should disable the admission policy", s.Radius)
 	}
 }
 
 func TestParseSpecOverridesOnlyNamedKeys(t *testing.T) {
-	s, err := ParseSpec("radius=16, floor=0.25 ,window=5s")
+	s, err := ParseSpec("radius=16, buckets=4 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := DefaultSpec()
-	if s.Radius != 16 || s.Floor != 0.25 || s.Window != 5*time.Second {
+	if s.Radius != 16 || s.Buckets != 4 {
 		t.Fatalf("overrides not applied: %+v", s)
 	}
-	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket || s.Interval != d.Interval {
+	if s.MinPerBucket != d.MinPerBucket {
 		t.Fatalf("unnamed keys drifted from defaults: %+v", s)
 	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"radius",            // no '='
-		"radius=x",          // bad int
-		"floor=much",        // bad float
-		"window=fast",       // bad duration
-		"turbo=1",           // unknown key
-		"buckets=0",         // fails validation
-		"radius=-1",         // fails validation
-		"floor=-0.5",        // fails validation
-		"interval=-1s",      // fails validation
-		"radius=8,min=-2",   // fails validation
-		"radius=8,,floor=x", // bad value after empty element
+		"radius",          // no '='
+		"radius=x",        // bad int
+		"min=few",         // bad int
+		"turbo=1",         // unknown key
+		"floor=0.2",       // removed allocator key
+		"window=3s",       // removed allocator key
+		"interval=1s",     // removed allocator key
+		"buckets=0",       // fails validation
+		"radius=-1",       // fails validation
+		"radius=8,min=-2", // fails validation
+		"radius=8,,min=x", // bad value after empty element
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error, got nil", bad)
@@ -69,8 +65,7 @@ func TestParseSpecErrors(t *testing.T) {
 func TestSpecStringRoundTrips(t *testing.T) {
 	for _, s := range []Spec{
 		DefaultSpec(),
-		StaticSpec(),
-		{Radius: 16, Buckets: 12, MinPerBucket: 2, Floor: 0.33, Window: 7 * time.Second, Interval: 250 * time.Millisecond},
+		{Radius: 16, Buckets: 12, MinPerBucket: 2},
 	} {
 		got, err := ParseSpec(s.String())
 		if err != nil {
@@ -88,11 +83,10 @@ func TestNormalizeFillsZeroFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := DefaultSpec()
-	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket ||
-		s.Window != d.Window || s.Interval != d.Interval {
+	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket {
 		t.Fatalf("Normalize left zero fields unfilled: %+v", s)
 	}
-	if s.Radius != 4 || s.Floor != 0 {
+	if s.Radius != 4 {
 		t.Fatalf("Normalize changed meaningful zeros: %+v", s)
 	}
 	if _, err := (Spec{Radius: -3}).Normalize(); err == nil {

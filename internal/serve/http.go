@@ -75,7 +75,7 @@ type jobRequest struct {
 	MaxDevices int `json:"max_devices,omitempty"`
 	// RunSpec carries "backend" (a registered name; GET /v1/backends
 	// lists them) and "diversity" (a spec string such as
-	// "radius=8,floor=0.2", or "off"); unset inherits the service
+	// "radius=8,buckets=4", or "off"); unset inherits the service
 	// default, and a bad value gets a 400. Storage is service-wide, so
 	// a body that names "storage" gets a 400 too.
 	core.RunSpec
@@ -254,9 +254,7 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 
 // backendJSON is one GET /v1/backends entry: the registry info plus
 // the live unit count — how many search units across all running jobs
-// are currently assigned to this backend (the adaptive allocator's
-// split under race, which would otherwise be invisible outside trace
-// logs).
+// run this backend (a race job's units count under its members).
 type backendJSON struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`

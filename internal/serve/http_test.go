@@ -255,6 +255,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", `{"random": {"n": 8}, "max_flips": 10, "frobnicate": 1}`},
 		{"unknown backend", `{"random": {"n": 8}, "max_flips": 10, "backend": "columnar"}`},
 		{"per-job storage", `{"random": {"n": 8}, "max_flips": 10, "storage": "dense"}`},
+		{"removed diversity key", `{"random": {"n": 8}, "max_flips": 10, "diversity": "floor=0.2"}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {
@@ -319,7 +320,7 @@ func TestHTTPBackendSelection(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown backend: %d, want 400", resp.StatusCode)
 	}
-	for _, name := range []string{"straight", "sb", "tabu", "race"} {
+	for _, name := range []string{"straight", "tabu", "race"} {
 		if !strings.Contains(body.String(), name) {
 			t.Errorf("400 body does not name %q: %s", name, body.String())
 		}
@@ -340,8 +341,8 @@ func TestHTTPBackendSelection(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Backends) < 4 {
-		t.Fatalf("GET /v1/backends listed %d backends, want >= 4", len(list.Backends))
+	if len(list.Backends) < 3 {
+		t.Fatalf("GET /v1/backends listed %d backends, want >= 3", len(list.Backends))
 	}
 	for _, b := range list.Backends {
 		if b.Name == "" || b.Description == "" {
@@ -358,7 +359,7 @@ func TestHTTPDiversitySpec(t *testing.T) {
 	ts, _ := newTestServer(t, testConfig(1))
 
 	// A valid spec rides the job spec end to end.
-	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2,floor=0.2"}`)
+	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2,buckets=4"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit with diversity: %d", code)
 	}
@@ -380,8 +381,8 @@ func TestHTTPDiversitySpec(t *testing.T) {
 		t.Errorf("400 body does not name the bad key: %s", body.String())
 	}
 
-	// While a race job runs, /v1/backends exposes the allocator's live
-	// unit split: the portfolio members carry units that sum over zero.
+	// While a race job runs, /v1/backends exposes its unit split: the
+	// portfolio members carry units that sum over zero.
 	code, j = postJob(t, ts, `{"random": {"n": 32, "seed": 6}, "time": "5s", "backend": "race"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit race job: %d", code)
@@ -416,7 +417,7 @@ func TestHTTPDiversitySpec(t *testing.T) {
 			if byName["race"] != 0 {
 				t.Errorf("race itself holds %d units; members should", byName["race"])
 			}
-			if byName["straight"]+byName["sb"]+byName["tabu"] != total {
+			if byName["straight"]+byName["tabu"] != total {
 				t.Errorf("units outside the portfolio: %v", byName)
 			}
 			break

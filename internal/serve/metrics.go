@@ -34,13 +34,8 @@ type serveMetrics struct {
 	backendInserted     telemetry.CounterVec // label: backend
 	backendImprovements telemetry.CounterVec // label: backend
 
-	// DABS control surface, refreshed from the live engines of running
-	// jobs by the service's refresher goroutine (and rolled up once
-	// more at settle so no reassignment is lost between ticks).
-	// Backend-labeled gauges sum safely across concurrent jobs, unlike
-	// the device-keyed run instruments.
-	allocUnits      telemetry.GaugeVec // label: backend
-	allocReassigns  *telemetry.Counter
+	// DABS pool gauge, refreshed from the live engines of running jobs
+	// by the service's refresher goroutine.
 	bucketsOccupied *telemetry.Gauge
 
 	tracer *telemetry.Tracer
@@ -85,36 +80,18 @@ func newServeMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *serveMetric
 		backendImprovements: reg.CounterVec("abs_backend_improvements_total",
 			"admitted publications that strictly improved their run's best energy, by producing backend",
 			"backend"),
-		allocUnits: reg.GaugeVec("abs_alloc_units",
-			"search units currently assigned to each portfolio member by the adaptive allocator, summed over running jobs",
-			"backend"),
-		allocReassigns: reg.Counter("abs_alloc_reassignments_total",
-			"unit reassignments performed by the adaptive allocator, rolled up across jobs"),
 		bucketsOccupied: reg.Gauge("abs_pool_distance_buckets_occupied",
 			"Hamming-distance buckets holding at least one GA pool entry (largest figure over running jobs)"),
 		tracer: tr,
 	}
 }
 
-// allocGauges refreshes the DABS gauges to the aggregate live view of
-// all running jobs.
-func (m *serveMetrics) allocGauges(units map[string]int, buckets int) {
+// poolBuckets sets the occupied-distance-buckets gauge.
+func (m *serveMetrics) poolBuckets(occupied int) {
 	if m == nil {
 		return
 	}
-	for name, c := range units {
-		m.allocUnits.With(name).SetInt(c)
-	}
-	m.bucketsOccupied.SetInt(buckets)
-}
-
-// allocMoved advances the reassignment counter by a freshly observed
-// delta of allocator moves.
-func (m *serveMetrics) allocMoved(delta uint64) {
-	if m == nil || delta == 0 {
-		return
-	}
-	m.allocReassigns.Add(delta)
+	m.bucketsOccupied.SetInt(occupied)
 }
 
 // stage records one pipeline-stage latency (queue wait, run time).

@@ -44,7 +44,7 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	// Job 2 has an hour of budget: it cannot finish before the crash.
 	// Its backend and diversity choices must survive the restart.
 	p2 := testProblem(40, 2)
-	run2 := core.RunSpec{Backend: "tabu", Diversity: "radius=8,floor=0.2"}
+	run2 := core.RunSpec{Backend: "tabu", Diversity: "radius=8,buckets=4"}
 	j2, err := s1.Submit(context.Background(), p2, JobSpec{Name: "long", MaxDuration: time.Hour, RunSpec: run2})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.RunSpec != run2 {
 		t.Errorf("restored spec = %+v, want the original", got)
 	}
-	if opt := r2.opt; opt.Backend != core.BackendTabu || opt.Diversity.Radius != 8 || opt.Diversity.Floor != 0.2 {
-		t.Errorf("restored job runs backend %v diversity %v, want tabu radius=8 floor=0.2", opt.Backend, opt.Diversity)
+	if opt := r2.opt; opt.Backend != core.BackendTabu || opt.Diversity.Radius != 8 || opt.Diversity.Buckets != 4 {
+		t.Errorf("restored job runs backend %v diversity %v, want tabu radius=8 buckets=4", opt.Backend, opt.Diversity)
 	}
 
 	// The ID counter resumed: a new submission must not collide.
@@ -292,6 +292,8 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	append_(jobRecord{Kind: "spec", ID: "job-1", Problem: "not a qubo file"})
 	append_(jobRecord{Kind: "spec", ID: "job-2", Problem: "also garbage"})
 	append_(jobRecord{Kind: "spec", ID: "job-3", Problem: text, RunSpec: core.RunSpec{Backend: "columnar"}})
+	// A spec journaled with a since-removed diversity key.
+	append_(jobRecord{Kind: "spec", ID: "job-4", Problem: text, RunSpec: core.RunSpec{Diversity: "radius=8,floor=0.2"}})
 	append_(jobRecord{Kind: "done", ID: "job-2", State: string(StateFailed), Error: "engine exploded"})
 
 	s, err := New(storedConfig(1, mem))
@@ -320,5 +322,12 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	}
 	if st := j3.Status(); st.State != StateFailed || !strings.Contains(st.Error, "columnar") {
 		t.Errorf("unknown-backend spec = %s %q, want failed naming the backend", st.State, st.Error)
+	}
+	j4, ok := s.Job("job-4")
+	if !ok {
+		t.Fatal("removed-diversity-key job vanished")
+	}
+	if st := j4.Status(); st.State != StateFailed || !strings.Contains(st.Error, "floor") {
+		t.Errorf("removed-diversity-key spec = %s %q, want failed naming the key", st.State, st.Error)
 	}
 }

@@ -128,13 +128,6 @@ type Service struct {
 
 	mu   sync.Mutex
 	jobs map[string]*Job
-
-	// divMu guards lastMoves: each running job's high-water mark of
-	// adaptive-allocator reassignments already rolled into the
-	// abs_alloc_reassignments_total counter, so the refresher ticks and
-	// the settle-time flush never double-count a move.
-	divMu     sync.Mutex
-	lastMoves map[string]uint64
 }
 
 // Scheduler events. Submit/cancel come from API goroutines; release and
@@ -201,7 +194,6 @@ func New(cfg Config) (*Service, error) {
 		events:    make(chan event),
 		schedDone: make(chan struct{}),
 		jobs:      make(map[string]*Job),
-		lastMoves: make(map[string]uint64),
 	}
 	var restored *restoredState
 	if cfg.Store != nil {
@@ -275,11 +267,10 @@ func (s *Service) Fleet() (spec gpusim.DeviceSpec, size int) {
 	return s.fleet.Spec(), s.fleet.Size()
 }
 
-// BackendUnits aggregates the live per-backend search-unit counts over
-// every running job: the adaptive allocator's current split under a
-// race backend, every unit on the single resolved backend otherwise.
-// Safe from any goroutine (it reads only engine atomics); GET
-// /v1/backends serves it.
+// BackendUnits aggregates the per-backend search-unit counts over
+// every running job: the static split under a race backend, every
+// unit on the single resolved backend otherwise. Safe from any
+// goroutine (it takes no engine lock); GET /v1/backends serves it.
 func (s *Service) BackendUnits() map[string]int {
 	out := make(map[string]int)
 	for _, j := range s.Jobs() {
@@ -297,9 +288,8 @@ func (s *Service) BackendUnits() map[string]int {
 	return out
 }
 
-// diversityRefresher keeps the serve-plane DABS instruments
-// (abs_alloc_units, abs_alloc_reassignments_total,
-// abs_pool_distance_buckets_occupied) live while jobs run. Engine
+// diversityRefresher keeps the serve-plane DABS gauge
+// (abs_pool_distance_buckets_occupied) live while jobs run. Engine
 // reads are lock-free atomics, so a sub-second cadence costs nothing.
 func (s *Service) diversityRefresher() {
 	if s.metrics == nil {
@@ -317,15 +307,10 @@ func (s *Service) diversityRefresher() {
 	}
 }
 
-// refreshDiversity aggregates the live DABS view over running jobs —
-// per-member unit counts summed, occupied distance buckets maxed — and
-// advances the reassignment counter by each engine's move delta since
-// the last refresh.
+// refreshDiversity sets the occupied-distance-buckets gauge to the
+// largest figure over running jobs.
 func (s *Service) refreshDiversity() {
-	units := make(map[string]int)
-	buckets := 0
-	var delta uint64
-	s.divMu.Lock()
+	buckets, running := 0, false
 	for _, j := range s.Jobs() {
 		if j.Status().State != StateRunning {
 			continue
@@ -334,42 +319,15 @@ func (s *Service) refreshDiversity() {
 		if eng == nil {
 			continue
 		}
-		for name, c := range eng.BackendUnits() {
-			units[name] += c
-		}
+		running = true
 		if b := eng.OccupiedDistanceBuckets(); b > buckets {
 			buckets = b
 		}
-		moves := eng.AllocMoves()
-		if prev := s.lastMoves[j.id]; moves > prev {
-			delta += moves - prev
-		}
-		s.lastMoves[j.id] = moves
 	}
-	s.divMu.Unlock()
-	if len(units) == 0 && delta == 0 && buckets == 0 {
-		return // idle service: leave the last run's gauges in place
+	if !running {
+		return // idle service: leave the last run's gauge in place
 	}
-	s.metrics.allocGauges(units, buckets)
-	s.metrics.allocMoved(delta)
-}
-
-// settleDiversity flushes a settling job's final reassignment delta —
-// moves performed between the last refresher tick and the engine's
-// finish — and forgets its high-water mark.
-func (s *Service) settleDiversity(j *Job) {
-	eng := j.engine()
-	if eng == nil {
-		return
-	}
-	s.divMu.Lock()
-	moves := eng.AllocMoves()
-	prev := s.lastMoves[j.id]
-	delete(s.lastMoves, j.id)
-	s.divMu.Unlock()
-	if moves > prev {
-		s.metrics.allocMoved(moves - prev)
-	}
+	s.metrics.poolBuckets(buckets)
 }
 
 // Submit validates and enqueues one job. The returned Job is live:
@@ -623,7 +581,6 @@ func (s *Service) settleQueuedCancel(st *schedState, j *Job) {
 // settleJob does the scheduler-side bookkeeping for a terminal job:
 // telemetry and the bounded retention of settled handles.
 func (s *Service) settleJob(st *schedState, j *Job) {
-	s.settleDiversity(j)
 	s.metrics.settled(j, len(st.queued), len(st.running))
 	if stt := j.Status(); stt.State == StateFailed {
 		// A failed job is an incident: preserve the last spans, events

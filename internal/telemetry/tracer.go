@@ -42,10 +42,6 @@ const (
 	// EventFaultInject: a scheduled fault fired in a block (testing
 	// runs only; Detail holds the fault kind).
 	EventFaultInject EventKind = "fault_inject"
-	// EventAllocReassign: the adaptive allocator moved a search unit
-	// between portfolio members; Block is the global slot index and
-	// Detail is "from->to".
-	EventAllocReassign EventKind = "alloc_reassign"
 
 	// Solver-service job lifecycle (internal/serve). Device and Block
 	// are -1; Detail holds the job id, plus the terminal state for

@@ -236,21 +236,18 @@ func TestReexportedDurabilityAndChaosSurface(t *testing.T) {
 }
 
 // TestReexportedDiversitySurface checks the DABS names: the spec type,
-// its parser and the two canonical constructors, driven through a real
-// diversified race run whose BackendStats expose the allocator split.
+// its parser and the default constructor, driven through a real
+// diversified race run whose BackendStats expose the unit split.
 func TestReexportedDiversitySurface(t *testing.T) {
 	var spec abs.DiversitySpec = abs.DefaultDiversitySpec()
 	if spec.Buckets == 0 {
 		t.Fatal("default diversity spec has no buckets")
 	}
-	if static := abs.StaticDiversitySpec(); static.Floor < 1.0 {
-		t.Errorf("static spec floor %v does not freeze the allocator", static.Floor)
-	}
-	parsed, err := abs.ParseDiversitySpec("radius=2,floor=0.2")
+	parsed, err := abs.ParseDiversitySpec("radius=2,buckets=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Radius != 2 || parsed.Floor != 0.2 {
+	if parsed.Radius != 2 || parsed.Buckets != 4 {
 		t.Fatalf("ParseDiversitySpec = %+v", parsed)
 	}
 	if _, err := abs.ParseDiversitySpec("turbo=1"); err == nil {
@@ -271,6 +268,6 @@ func TestReexportedDiversitySurface(t *testing.T) {
 		total += stat.Units
 	}
 	if total != res.Blocks {
-		t.Errorf("allocator units sum %d != %d blocks", total, res.Blocks)
+		t.Errorf("race units sum %d != %d blocks", total, res.Blocks)
 	}
 }

@@ -1,14 +1,11 @@
 #!/bin/sh
 # Diversity smoke: boot abs-serve with the race meta-backend and a DABS
-# spec (admission radius on, fast allocator cadence) and assert the
-# diversity-control surface end to end —
-#   * /metrics carries the abs_alloc_units{backend=...} gauges and they
-#     MOVE: the adaptive allocator performs at least one reassignment
-#     (abs_alloc_reassignments_total > 0) while the job runs;
+# admission spec and assert the diversity surface end to end —
 #   * the distance-bucketed pool reports at least 2 occupied buckets
 #     (abs_pool_distance_buckets_occupied >= 2);
-#   * the unit gauges always account for the whole fleet (sum > 0,
-#     spread across the portfolio members).
+#   * GET /v1/backends shows the running race job split between
+#     straight and tabu (g mod 2), and the two counts sum to the job's
+#     units (its result's "blocks").
 # Needs only the Go toolchain and curl.
 set -eu
 
@@ -40,8 +37,8 @@ fail() {
 		cat "$TMP/serve.log" >&2
 	fi
 	if [ -s "$TMP/metrics.prom" ]; then
-		echo "--- last /metrics (abs_alloc_*, abs_pool_*) ---" >&2
-		grep -E '^abs_(alloc|pool)_' "$TMP/metrics.prom" >&2 || true
+		echo "--- last /metrics (abs_pool_*) ---" >&2
+		grep -E '^abs_pool_' "$TMP/metrics.prom" >&2 || true
 	fi
 	exit 1
 }
@@ -49,10 +46,9 @@ fail() {
 echo "diversity-smoke: building abs-serve"
 $GO build -o "$TMP/abs-serve" ./cmd/abs-serve
 
-# Fast allocator cadence so the smoke sees movement within seconds;
-# radius 2 turns the Hamming admission policy on for every job.
+# Radius 2 turns the Hamming admission policy on for every job.
 "$TMP/abs-serve" -addr 127.0.0.1:0 -gpus 2 -sms 2 -backend race \
-	-diversity "radius=2,floor=0.1,window=2s,interval=200ms" \
+	-diversity "radius=2" \
 	>"$TMP/serve.log" 2>&1 &
 SRV_PID=$!
 
@@ -75,35 +71,36 @@ ID=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id":[[:space:]]*"\([^"]*\)".*/\1/p')
 [ -n "$ID" ] || fail "submit reply has no job id: $SUBMIT"
 echo "diversity-smoke: job $ID running"
 
-# Poll /metrics until every assertion holds (or time out at ~15s).
-UNITS_OK=
-MOVED=
+# units NAME prints NAME's unit count from the /v1/backends body in $LIST.
+units() {
+	printf '%s' "$LIST" | tr -d '\n' | tr '{' '\n' |
+		sed -n "s/.*\"name\":[[:space:]]*\"$1\".*\"units\":[[:space:]]*\([0-9]*\).*/\1/p"
+}
+
+# Poll until every assertion holds (or time out at ~15s).
+SPLIT_OK=
 BUCKETS_OK=
 i=0
 while [ $i -lt 50 ]; do
-	curl -sf "http://$BASE/metrics" >"$TMP/metrics.prom" || fail "/metrics scrape"
-
-	# The allocator's unit gauges: per-member series summing over zero.
-	if [ -z "$UNITS_OK" ]; then
-		SERIES=$(grep -c '^abs_alloc_units{backend=' "$TMP/metrics.prom" || true)
-		SUM=$(awk -F' ' '/^abs_alloc_units\{backend=/ { s += $2 } END { print s+0 }' "$TMP/metrics.prom")
-		if [ "$SERIES" -ge 2 ] && [ "$SUM" -gt 0 ]; then
-			UNITS_OK=1
-			echo "diversity-smoke: abs_alloc_units up ($SERIES members, $SUM units)"
-		fi
-	fi
-
-	# The gauges must MOVE: the adaptive controller reassigns units.
-	if [ -z "$MOVED" ]; then
-		REASSIGNS=$(awk -F' ' '/^abs_alloc_reassignments_total / { print int($2) }' "$TMP/metrics.prom")
-		if [ "${REASSIGNS:-0}" -gt 0 ]; then
-			MOVED=1
-			echo "diversity-smoke: allocator moved units ($REASSIGNS reassignments)"
+	# The race job's units land on its members, never on race itself.
+	if [ -z "$SPLIT_OK" ]; then
+		LIST=$(curl -sf "http://$BASE/v1/backends") || fail "GET /v1/backends"
+		STRAIGHT=$(units straight)
+		TABU=$(units tabu)
+		RACE=$(units race)
+		if [ "${STRAIGHT:-0}" -gt 0 ] && [ "${TABU:-0}" -gt 0 ]; then
+			[ "${RACE:-0}" -eq 0 ] || fail "race itself holds $RACE units: $LIST"
+			DIFF=$((STRAIGHT - TABU))
+			[ "$DIFF" -eq 0 ] || [ "$DIFF" -eq 1 ] ||
+				fail "split straight=$STRAIGHT tabu=$TABU is not g mod 2: $LIST"
+			SPLIT_OK=1
+			echo "diversity-smoke: race split straight=$STRAIGHT tabu=$TABU"
 		fi
 	fi
 
 	# The distance-bucketed pool keeps spread: >= 2 occupied buckets.
 	if [ -z "$BUCKETS_OK" ]; then
+		curl -sf "http://$BASE/metrics" >"$TMP/metrics.prom" || fail "/metrics scrape"
 		BUCKETS=$(awk -F' ' '/^abs_pool_distance_buckets_occupied / { print int($2) }' "$TMP/metrics.prom")
 		if [ "${BUCKETS:-0}" -ge 2 ]; then
 			BUCKETS_OK=1
@@ -111,16 +108,27 @@ while [ $i -lt 50 ]; do
 		fi
 	fi
 
-	[ -n "$UNITS_OK" ] && [ -n "$MOVED" ] && [ -n "$BUCKETS_OK" ] && break
+	[ -n "$SPLIT_OK" ] && [ -n "$BUCKETS_OK" ] && break
 	sleep 0.3
 	i=$((i + 1))
 done
-[ -n "$UNITS_OK" ] || fail "abs_alloc_units gauges never appeared with a positive sum"
-[ -n "$MOVED" ] || fail "abs_alloc_reassignments_total never advanced (allocator did not move)"
+[ -n "$SPLIT_OK" ] || fail "GET /v1/backends never showed the race job split across straight and tabu"
 [ -n "$BUCKETS_OK" ] || fail "abs_pool_distance_buckets_occupied never reached 2"
 
-# The job is still within budget: cancel it, we have what we came for.
-curl -sf -X DELETE "http://$BASE/v1/jobs/$ID" >/dev/null || true
+# The job is still within budget: cancel it, then check the split
+# covered every unit it ran.
+curl -sf -X DELETE "http://$BASE/v1/jobs/$ID" >/dev/null || fail "job cancel"
+BLOCKS=
+i=0
+while [ $i -lt 50 ]; do
+	BLOCKS=$(curl -sf "http://$BASE/v1/jobs/$ID" | sed -n 's/.*"blocks":[[:space:]]*\([0-9]*\).*/\1/p')
+	[ -n "$BLOCKS" ] && break
+	sleep 0.2
+	i=$((i + 1))
+done
+[ -n "$BLOCKS" ] || fail "cancelled job never reported its blocks"
+[ $((STRAIGHT + TABU)) -eq "$BLOCKS" ] ||
+	fail "split straight=$STRAIGHT + tabu=$TABU != job units $BLOCKS"
 
 kill "$SRV_PID" 2>/dev/null || true
 wait "$SRV_PID" 2>/dev/null || true
