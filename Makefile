@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X abs/internal/telemetry.version=$(VERSION) -X abs/internal/telemetry.commit=$(COMMIT)
 
-.PHONY: build test vet race check ci bench bench-dense obs-demo obs-smoke backend-smoke diversity-smoke serve apicheck cluster-demo
+.PHONY: build test vet race check ci bench bench-dense obs-demo obs-smoke backend-smoke serve apicheck cluster-demo
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -85,18 +85,12 @@ obs-smoke:
 	./scripts/obs-smoke.sh
 
 # Solver-backend smoke: boots abs-serve with the race meta-backend,
-# asserts /v1/backends, a race-pinned job, the 400 on unknown names and
-# the per-backend ingest counters on /metrics. CI runs this in the
-# short lane.
+# asserts /v1/backends, a race-pinned job, the 400 on unknown names,
+# the per-backend ingest counters on /metrics, and a running race
+# job's g mod 2 straight/tabu split covering all its units. CI runs
+# this in the short lane.
 backend-smoke:
 	./scripts/backend-smoke.sh
-
-# Diversity smoke: boots abs-serve with the race backend under a DABS
-# admission spec and asserts the pool occupies >= 2 distance buckets
-# and GET /v1/backends shows the race job's g mod 2 straight/tabu
-# split covering all its units. CI runs this in the short lane.
-diversity-smoke:
-	./scripts/diversity-smoke.sh
 
 obs-demo:
 	$(GO) build -o /tmp/abs-solve ./cmd/abs-solve

@@ -17,7 +17,6 @@ import (
 	"abs/internal/chaos"
 	"abs/internal/cluster"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
@@ -56,12 +55,7 @@ type (
 	// BackendStat is the per-backend tally in Result.BackendStats:
 	// admissions, improvements and the unit split.
 	BackendStat = core.BackendStat
-	// DiversitySpec is the DABS pool admission policy (arXiv
-	// 2207.03069) accepted by Options.Diversity: the pool's Hamming
-	// admission radius and distance-bucket shape. The zero value means
-	// defaults.
-	DiversitySpec = diversity.Spec
-	// RunSpec is the storage, backend and diversity choice in the text
+	// RunSpec is the storage and backend choice in the text
 	// form flags, job specs and cluster grants carry. A set field wins
 	// over the layer below (RunSpec.Over), "auto" or empty means unset,
 	// and Apply parses it into Options.
@@ -152,16 +146,6 @@ func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 // descriptions, sorted by name (the body of GET /v1/backends).
 func Backends() []BackendInfo { return core.Backends() }
 
-// ParseDiversitySpec parses a "radius=8,buckets=4"-style key=value
-// string into a DiversitySpec (the decoder behind every -diversity CLI
-// flag, the serve job field and the cluster grant). The empty string
-// and the literal "off" are the defaults.
-func ParseDiversitySpec(s string) (DiversitySpec, error) { return diversity.ParseSpec(s) }
-
-// DefaultDiversitySpec returns the defaults: pool admission off
-// (radius 0 is opt-in), 8 distance buckets, one entry kept per bucket.
-func DefaultDiversitySpec() DiversitySpec { return diversity.DefaultSpec() }
-
 // NewProblem returns an all-zero n-variable QUBO instance; fill it with
 // SetWeight/AddWeight.
 func NewProblem(n int) *Problem { return qubo.New(n) }
@@ -201,8 +185,8 @@ type (
 	// concurrent use.
 	Job = serve.Job
 	// JobSpec is the per-job request: stop conditions, seed, an
-	// optional name, a device cap and the embedded RunSpec's backend
-	// and diversity. Zero fields inherit the Solver's default Options.
+	// optional name, a device cap and the embedded RunSpec's backend.
+	// Zero fields inherit the Solver's default Options.
 	JobSpec = serve.JobSpec
 	// JobStatus is a point-in-time job snapshot, safe to read while the
 	// job runs.
@@ -337,31 +321,6 @@ func SolveToTargetContext(ctx context.Context, p *Problem, target int64, budget 
 	opt.TargetEnergy = &target
 	opt.MaxDuration = budget
 	return SolveContext(ctx, p, opt)
-}
-
-// SolveFor is SolveForContext without cancellation. Everything beyond
-// the budget is DefaultOptions — host-sized fleet, auto storage and
-// the straight backend — with no way to override; that implicit
-// configuration is why the wrapper is deprecated rather than grown.
-//
-// Deprecated: use SolveForContext, or Solve with explicit Options when
-// any non-default configuration (a Backend, Storage, telemetry) is
-// wanted. SolveFor is kept for source compatibility and will not be
-// removed in v1, but new code should pass a context.
-func SolveFor(p *Problem, budget time.Duration) (*Result, error) {
-	return SolveForContext(context.Background(), p, budget)
-}
-
-// SolveToTarget is SolveToTargetContext without cancellation. Like
-// SolveFor, everything beyond the target and budget is pinned to
-// DefaultOptions with no way to override.
-//
-// Deprecated: use SolveToTargetContext, or Solve with explicit Options
-// when any non-default configuration (a Backend, Storage, telemetry)
-// is wanted. SolveToTarget is kept for source compatibility and will
-// not be removed in v1, but new code should pass a context.
-func SolveToTarget(p *Problem, target int64, budget time.Duration) (*Result, error) {
-	return SolveToTargetContext(context.Background(), p, target, budget)
 }
 
 // ExactSolve enumerates all solutions of a small instance (≤ 30 bits)

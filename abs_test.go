@@ -1,6 +1,7 @@
 package abs
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 
 func TestFacadeQuickstart(t *testing.T) {
 	p := RandomProblem(64, 42)
-	res, err := SolveFor(p, 100*time.Millisecond)
+	res, err := SolveForContext(context.Background(), p, 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestFacadeSolveToTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveToTarget(p, optE, 10*time.Second)
+	res, err := SolveToTargetContext(context.Background(), p, optE, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package abs
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -49,7 +50,7 @@ func SolveMaxCut(g *Graph, budget time.Duration) (*MaxCutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := SolveFor(p, budget)
+	res, err := SolveForContext(context.Background(), p, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +126,7 @@ func SolveIsing(m *IsingModel, budget time.Duration) (*IsingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := SolveFor(p, budget)
+	res, err := SolveForContext(context.Background(), p, budget)
 	if err != nil {
 		return nil, err
 	}

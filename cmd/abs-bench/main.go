@@ -118,7 +118,6 @@ func main() {
 		run      core.RunSpec
 	)
 	run.Flag(flag.CommandLine, "backend", "auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
-	run.Flag(flag.CommandLine, "diversity", "applies to every benchmark solve")
 	flag.Parse()
 	if err := bench.SetDefaultRun(run); err != nil {
 		fmt.Fprintln(os.Stderr, "abs-bench:", err)

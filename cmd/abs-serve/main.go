@@ -120,7 +120,6 @@ func main() {
 	flag.DurationVar(&cfg.linger, "linger", 3*time.Second, "coordinator: how long to keep serving after the run finishes so workers can flush")
 	cfg.run.Flag(flag.CommandLine, "storage", "job mode: every job's storage, which a job cannot name; coordinator mode: granted to workers")
 	cfg.run.Flag(flag.CommandLine, "backend", "job mode: default for jobs that name none; coordinator mode: granted to workers")
-	cfg.run.Flag(flag.CommandLine, "diversity", "job mode: default for jobs that name no spec; coordinator mode: granted to workers")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "target" {

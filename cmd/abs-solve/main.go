@@ -7,7 +7,6 @@
 //	          [-time 5s] [-target -12345 -use-target] [-gpus 1] [-sms 2]
 //	          [-bits-per-thread 0] [-seed 1] [-storage auto|dense|sparse]
 //	          [-backend auto|straight|tabu|race]
-//	          [-diversity radius=8,buckets=4|off]
 //	          [-solution] [-v] [-presolve]
 //	          [-metrics-addr :9090] [-trace-out run.jsonl]
 //

@@ -9,7 +9,6 @@
 //	abs-worker -coordinator http://host:8080 [-id worker-a]
 //	           [-devices 1] [-sms 2] [-exchange 200ms] [-publish-k 8]
 //	           [-backend auto|straight|tabu|race]
-//	           [-diversity radius=8,buckets=4|off]
 //	           [-addr :9090] [-metrics-addr :9091] [-trace-out run.jsonl]
 //
 // The worker needs nothing but the coordinator's address — the

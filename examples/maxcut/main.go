@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := abs.SolveFor(p, 3*time.Second)
+	res, err := abs.SolveForContext(context.Background(), p, 3*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := abs.SolveFor(p, 2*time.Second)
+	res, err := abs.SolveForContext(context.Background(), p, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,10 +16,9 @@ import (
 	"abs/internal/tsp"
 )
 
-// defaultRun is the backend and diversity choice every benchmark run
-// uses; the zero value keeps the paper's straight program and the
-// default DABS tuning. Set once from the -backend and -diversity flags
-// before any benchmark runs.
+// defaultRun is the backend choice every benchmark run uses; the zero
+// value keeps the paper's straight program. Set once from the -backend
+// flag before any benchmark runs.
 var defaultRun core.RunSpec
 
 // SetDefaultRun validates r and pins it for all subsequent benchmark

@@ -9,7 +9,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/qubo"
 	"abs/internal/randqubo"
 	"abs/internal/rng"
@@ -440,10 +439,9 @@ func TestDedupSetWindowEvicts(t *testing.T) {
 type grantCase struct {
 	field             string
 	grant, local, bad string
-	// resolved renders what the engine chose; render maps a setting to
-	// the same rendering.
+	// resolved renders what the engine chose, in the setting's own
+	// spelling.
 	resolved func(*core.Engine) string
-	render   func(t *testing.T, v string) string
 }
 
 func (gc grantCase) with(v string) core.RunSpec {
@@ -453,41 +451,19 @@ func (gc grantCase) with(v string) core.RunSpec {
 		r.Storage = v
 	case "backend":
 		r.Backend = v
-	case "diversity":
-		r.Diversity = v
 	}
 	return r
 }
-
-func renderAsIs(_ *testing.T, v string) string { return v }
 
 var (
 	// A dense random instance: auto would pick dense.
 	storageGrant = grantCase{
 		field: "storage", grant: "sparse", local: "dense", bad: "columnar",
 		resolved: func(e *core.Engine) string { return e.Storage().String() },
-		render:   renderAsIs,
 	}
 	backendGrant = grantCase{
 		field: "backend", grant: "tabu", local: "race", bad: "columnar",
 		resolved: func(e *core.Engine) string { return e.Backend().String() },
-		render:   renderAsIs,
-	}
-	// The local "off" is the opt-out from a granted DABS tuning.
-	diversityGrant = grantCase{
-		field: "diversity", grant: "radius=4,buckets=4", local: "off", bad: "radius=banana",
-		resolved: func(e *core.Engine) string { return e.Options().Diversity.String() },
-		render: func(t *testing.T, v string) string {
-			t.Helper()
-			d, err := diversity.ParseSpec(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d, err = d.Normalize(); err != nil {
-				t.Fatal(err)
-			}
-			return d.String()
-		},
 	}
 )
 
@@ -522,7 +498,7 @@ func checkGrantPropagates(t *testing.T, gc grantCase) {
 	if err != nil {
 		t.Fatalf("buildEngine: %v", err)
 	}
-	if got, want := gc.resolved(e), gc.render(t, gc.grant); got != want {
+	if got, want := gc.resolved(e), gc.grant; got != want {
 		t.Errorf("unset worker resolved %s, want %s from the grant", got, want)
 	}
 
@@ -531,7 +507,7 @@ func checkGrantPropagates(t *testing.T, gc grantCase) {
 	if err != nil {
 		t.Fatalf("buildEngine: %v", err)
 	}
-	if got, want := gc.resolved(e), gc.render(t, gc.local); got != want {
+	if got, want := gc.resolved(e), gc.local; got != want {
 		t.Errorf("locally pinned worker resolved %s, want %s", got, want)
 	}
 
@@ -591,19 +567,3 @@ func TestBackendGrantPropagatesToWorkerEngine(t *testing.T) {
 }
 
 func TestBackendGrantOmittedOnAuto(t *testing.T) { checkGrantOmitted(t, backendGrant) }
-
-func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
-	checkGrantPropagates(t, diversityGrant)
-	// The coordinator's own authoritative pool runs a granted admission
-	// policy too.
-	c := newCoord(t, testProblem(16, 8), CoordinatorConfig{Run: diversityGrant.with(diversityGrant.grant)})
-	if c.cfg.GA.Policy == nil {
-		t.Error("coordinator pool has no admission policy despite radius > 0")
-	}
-}
-
-func TestDiversityGrantRejectedAtCoordinator(t *testing.T) {
-	checkGrantRejectedAtCoordinator(t, diversityGrant)
-}
-
-func TestDiversityGrantOmittedByDefault(t *testing.T) { checkGrantOmitted(t, diversityGrant) }

@@ -9,7 +9,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/ga"
 	"abs/internal/qubo"
 	"abs/internal/rng"
@@ -42,7 +41,7 @@ type CoordinatorConfig struct {
 	// host-side energy recheck) — see core.Gate.
 	TrustPublications bool
 
-	// Run is the storage, backend and diversity granted to workers
+	// Run is the storage and backend granted to workers
 	// at registration (RegisterResponse.RunSpec). Unset fields leave
 	// the choice to each worker; a set field pins the whole cluster,
 	// though a worker's own set field still wins. Validated by
@@ -95,17 +94,10 @@ func (c CoordinatorConfig) normalize() (CoordinatorConfig, error) {
 	if c.TargetEnergy == nil && c.MaxDuration == 0 && c.MaxFlips == 0 {
 		return c, fmt.Errorf("cluster: no stop condition set (TargetEnergy, MaxDuration or MaxFlips)")
 	}
-	var granted core.Options
-	if err := c.Run.Apply(&granted); err != nil {
+	if err := c.Run.Validate(); err != nil {
 		return c, err
 	}
 	c.Run = c.Run.Over(core.RunSpec{}) // "auto" fields leave the grant
-	// The diversity grant also applies to the coordinator's own
-	// authoritative pool: cluster publishes pass the same admission the
-	// workers run locally.
-	if granted.Diversity.Radius > 0 && c.GA.Policy == nil {
-		c.GA.Policy = diversity.NewPolicy(granted.Diversity)
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 10 * time.Second
 	}

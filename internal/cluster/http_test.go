@@ -283,3 +283,48 @@ func TestRecoverHandlerTurnsPanicInto500(t *testing.T) {
 		t.Errorf("panic-500 over client = %v, want transient error", rpcErr)
 	}
 }
+
+// TestOldDiversityGrantIgnoredByWorker: a grant from an older
+// coordinator that still carries the removed "diversity" setting
+// decodes over the wire with the key dropped, and the worker builds its
+// engine from the rest of the grant.
+func TestOldDiversityGrantIgnoredByWorker(t *testing.T) {
+	p := testProblem(48, 4)
+	c := newCoord(t, p, CoordinatorConfig{Run: backendGrant.with(backendGrant.grant)})
+	h := NewHTTPHandler(c)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/register" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var grant map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
+			t.Errorf("register body: %v", err)
+		}
+		grant["diversity"] = "radius=8,buckets=4"
+		json.NewEncoder(w).Encode(grant)
+	}))
+	defer srv.Close()
+	tr := NewHTTPTransport(srv.URL, nil)
+
+	reg, err := tr.Register(context.Background(), RegisterRequest{WorkerID: "w-old", Devices: 1})
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if reg.RunSpec != backendGrant.with(backendGrant.grant) {
+		t.Fatalf("decoded grant = %+v, want only backend %q", reg.RunSpec, backendGrant.grant)
+	}
+	w, err := NewWorker(WorkerConfig{Transport: tr, WorkerID: "w-old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.buildEngine(p, reg); err != nil {
+		t.Fatalf("buildEngine: %v", err)
+	}
+	defer w.engine.Finish(true)
+	if got := w.engine.Backend().String(); got != backendGrant.grant {
+		t.Errorf("worker resolved backend %s, want %s from the grant", got, backendGrant.grant)
+	}
+}

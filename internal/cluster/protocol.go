@@ -76,10 +76,11 @@ type RegisterResponse struct {
 	// LeaseBatch is the suggested number of targets per Lease call.
 	LeaseBatch   int    `json:"lease_batch"`
 	TargetEnergy *int64 `json:"target_energy,omitempty"`
-	// RunSpec is the coordinator's storage, backend and diversity
-	// grant, under the "storage", "backend" and "diversity" keys; an
-	// empty field leaves the choice to the worker. A worker's own set
-	// fields win over it (WorkerConfig.Run).
+	// RunSpec is the coordinator's storage and backend grant, under
+	// the "storage" and "backend" keys; an empty field leaves the
+	// choice to the worker. A worker's own set fields win over it
+	// (WorkerConfig.Run). Keys no field names, such as the "diversity"
+	// an older coordinator may send, are ignored.
 	core.RunSpec
 	// Trace is the run's root span context as a W3C-traceparent-style
 	// value (telemetry.ParseTraceparent). Workers parent their own spans

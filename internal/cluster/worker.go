@@ -42,12 +42,11 @@ type WorkerConfig struct {
 	// means 24 h.
 	MaxDuration time.Duration
 
-	// Run pins the local storage, backend and diversity choices.
-	// Each field it leaves unset defers to the coordinator's
-	// registration grant, then to the engine default (core.RunSpec.Over);
-	// a set field always wins, so a heterogeneous node may overrule the
-	// cluster-wide choice and diversity "off" opts a node out of a
-	// granted DABS tuning.
+	// Run pins the local storage and backend choices. Each field it
+	// leaves unset defers to the coordinator's registration grant, then
+	// to the engine default (core.RunSpec.Over); a set field always
+	// wins, so a heterogeneous node may overrule the cluster-wide
+	// choice.
 	Run core.RunSpec
 
 	// Reconnect paces re-registration after losing the coordinator.

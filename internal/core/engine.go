@@ -8,7 +8,6 @@ import (
 
 	"abs/internal/backend"
 	"abs/internal/bitvec"
-	"abs/internal/diversity"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
@@ -55,7 +54,6 @@ type Engine struct {
 	storage          Storage
 	backendName      Backend         // resolved, never BackendAuto
 	be               backend.Backend // live per-slot attribution via UnitName
-	divPolicy        *diversity.Policy
 	evaluatedPerFlip float64
 	occ              gpusim.Occupancy
 	blocksPerDevice  int
@@ -80,10 +78,6 @@ type Engine struct {
 	// Live snapshot for readers outside the pump goroutine.
 	bestE     atomic.Int64
 	bestKnown atomic.Bool
-	// Occupied-distance-bucket count as of the last progress deadline
-	// (pool reads are pump-only; this cache makes the figure available
-	// to any goroutine, e.g. the serve-plane gauge refresher).
-	bucketsOcc atomic.Int64
 
 	mu       sync.Mutex
 	runs     map[int]*gpusim.DeviceRun // device ID → this job's launch on it
@@ -110,17 +104,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 	}
 	blocksPerDevice := occ.ActiveBlocks
 	totalSlots := blocksPerDevice * opt.NumGPUs
-
-	// Diversity admission (DABS): a positive radius installs the
-	// Hamming-bucket policy on the pool before it is seeded, so random
-	// seeds, warm starts, injected cluster targets and device
-	// publications all pass through the same rule. Radius 0 (the
-	// default) leaves the paper's plain elite pool untouched.
-	var divPolicy *diversity.Policy
-	if opt.Diversity.Radius > 0 {
-		divPolicy = diversity.NewPolicy(opt.Diversity)
-		opt.GA.Policy = divPolicy
-	}
 
 	hostRNG := rng.New(opt.Seed)
 	host, err := ga.NewHost(n, opt.GA, hostRNG)
@@ -228,7 +211,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		storage:          storage,
 		backendName:      backendName,
 		be:               be,
-		divPolicy:        divPolicy,
 		evaluatedPerFlip: evaluatedPerFlip,
 		occ:              occ,
 		blocksPerDevice:  blocksPerDevice,
@@ -314,11 +296,6 @@ func (e *Engine) BackendUnits() map[string]int {
 	}
 	return units
 }
-
-// OccupiedDistanceBuckets returns how many Hamming-distance buckets of
-// the GA pool held at least one entry as of the last progress deadline
-// (0 without the diversity admission policy). Safe from any goroutine.
-func (e *Engine) OccupiedDistanceBuckets() int { return int(e.bucketsOcc.Load()) }
 
 // Occupancy returns the per-device occupancy of the chosen shape.
 func (e *Engine) Occupancy() gpusim.Occupancy { return e.occ }
@@ -427,14 +404,6 @@ func (e *Engine) Halt(g int) {
 func (e *Engine) Pump(now time.Time) {
 	if !now.Before(e.nextProgress) {
 		e.nextProgress = nextDeadline(e.nextProgress, now, e.opt.ProgressEvery)
-		if e.divPolicy != nil {
-			// Refresh the bucket figure even when no run metrics are
-			// installed: OccupiedDistanceBuckets readers (the serve
-			// plane) rely on this cache.
-			occ := e.divPolicy.OccupiedBuckets(e.host.Pool())
-			e.bucketsOcc.Store(int64(occ))
-			e.metrics.poolBuckets(occ)
-		}
 		if e.emitProgress {
 			pr := e.progressLocked(now)
 			e.metrics.progressTick(now, pr, e.host.Pool().Len())

@@ -56,8 +56,6 @@ type runMetrics struct {
 	backendInserted     telemetry.CounterVec
 	backendImprovements telemetry.CounterVec
 
-	bucketsOccupied *telemetry.Gauge
-
 	bestEnergy *telemetry.Gauge
 	elapsed    *telemetry.Gauge
 
@@ -135,9 +133,6 @@ func newRunMetrics(reg *telemetry.Registry, tracer *telemetry.Tracer, sc telemet
 			"publications admitted to the GA pool, by the solver backend of the producing unit", "backend"),
 		backendImprovements: reg.CounterVec("abs_backend_improvements_total",
 			"admitted publications that strictly improved the run's best energy, by producing backend", "backend"),
-
-		bucketsOccupied: reg.Gauge("abs_pool_distance_buckets_occupied",
-			"distance buckets (Hamming distance to the incumbent best) holding at least one pool entry"),
 
 		bestEnergy: reg.Gauge("abs_best_energy",
 			"best evaluated energy in the GA pool"),
@@ -240,15 +235,6 @@ func (m *runMetrics) backendIngest(name string, improved bool) {
 	if improved {
 		m.backendImprovements.With(name).Inc()
 	}
-}
-
-// poolBuckets refreshes the occupied-distance-buckets gauge (diversity
-// admission policy runs only).
-func (m *runMetrics) poolBuckets(occupied int) {
-	if m == nil {
-		return
-	}
-	m.bucketsOccupied.SetInt(occupied)
 }
 
 // ingestBatch records one drained batch's host-side processing time.

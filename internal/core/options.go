@@ -21,7 +21,6 @@ import (
 
 	"abs/internal/backend"
 	"abs/internal/bitvec"
-	"abs/internal/diversity"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
 	"abs/internal/telemetry"
@@ -123,12 +122,6 @@ type Options struct {
 	// BackendStraight, the paper's algorithm. Validate rejects names
 	// with no registered factory with ErrUnknownBackend.
 	Backend Backend
-
-	// Diversity configures the DABS Hamming-distance pool admission
-	// policy (arXiv 2207.03069; see internal/diversity). The zero value
-	// means diversity.DefaultSpec: Radius 0, admission off — the
-	// paper's plain elite pool.
-	Diversity diversity.Spec
 
 	// Warm starts: vectors inserted into the solution pool before the
 	// run, e.g. a 2-opt tour for a TSP instance. They enter with
@@ -373,10 +366,6 @@ func (o Options) normalize(n int) (Options, error) {
 		return o, err
 	}
 	o.Backend = b
-	o.Diversity, err = o.Diversity.Normalize()
-	if err != nil {
-		return o, err
-	}
 	if o.BitsPerThread == 0 {
 		p, err := o.Device.BestBitsPerThread(n)
 		if err != nil {

@@ -6,13 +6,12 @@ import (
 	"strings"
 
 	"abs/internal/backend"
-	"abs/internal/diversity"
 )
 
-// RunSpec is a run's choice of engine storage, solver backend and DABS
-// diversity tuning, in the text form every surface carries: CLI flags,
-// serve job specs and the job journal, and the cluster's registration
-// grant, all under the JSON keys below. Strings keep JSON decoding
+// RunSpec is a run's choice of engine storage and solver backend, in
+// the text form every surface carries: CLI flags, serve job specs and
+// the job journal, and the cluster's registration grant, all under the
+// JSON keys below. Strings keep JSON decoding
 // infallible; Validate and Apply are the one place they are parsed, so
 // a bad value fails the same way wherever it arrives.
 //
@@ -20,16 +19,13 @@ import (
 // field-wise and written once, in Over: a set field wins and an unset
 // one defers to the layer below (a worker's flags over the
 // coordinator's grant, a job over the service defaults). What no layer
-// sets keeps the engine default: storage by instance density, the
-// straight backend, and diversity.DefaultSpec.
+// sets keeps the engine default: storage by instance density and the
+// straight backend.
 type RunSpec struct {
 	// Storage is "dense" or "sparse" (ParseStorage).
 	Storage string `json:"storage,omitempty"`
 	// Backend is a registered backend name (ParseBackend).
 	Backend string `json:"backend,omitempty"`
-	// Diversity is a diversity.ParseSpec string such as
-	// "radius=8,buckets=4"; "off" turns pool admission off.
-	Diversity string `json:"diversity,omitempty"`
 }
 
 func unset(v string) bool { return v == "" || v == "auto" }
@@ -50,17 +46,16 @@ func pick(upper, lower string) string {
 // "auto" spelled as empty: the form a grant carries.
 func (s RunSpec) Over(lower RunSpec) RunSpec {
 	return RunSpec{
-		Storage:   pick(s.Storage, lower.Storage),
-		Backend:   pick(s.Backend, lower.Backend),
-		Diversity: pick(s.Diversity, lower.Diversity),
+		Storage: pick(s.Storage, lower.Storage),
+		Backend: pick(s.Backend, lower.Backend),
 	}
 }
 
 // Validate reports the first set field that does not parse.
 func (s RunSpec) Validate() error { return s.Apply(&Options{}) }
 
-// Apply parses the set fields into o's typed Storage, Backend and
-// Diversity, leaving the fields of o that s does not set alone.
+// Apply parses the set fields into o's typed Storage and Backend,
+// leaving the fields of o that s does not set alone.
 func (s RunSpec) Apply(o *Options) error {
 	if !unset(s.Storage) {
 		st, err := ParseStorage(s.Storage)
@@ -76,28 +71,21 @@ func (s RunSpec) Apply(o *Options) error {
 		}
 		o.Backend = b
 	}
-	if !unset(s.Diversity) {
-		d, err := diversity.ParseSpec(s.Diversity)
-		if err != nil {
-			return err
-		}
-		o.Diversity = d
-	}
 	return nil
 }
 
-// Flags registers -storage, -backend and -diversity on fs, writing
-// into s. note, when non-empty, replaces each flag's default
-// explanation of what an unset value means in this binary.
+// Flags registers -storage and -backend on fs, writing into s. note,
+// when non-empty, replaces each flag's default explanation of what an
+// unset value means in this binary.
 func (s *RunSpec) Flags(fs *flag.FlagSet, note string) {
-	for _, name := range []string{"storage", "backend", "diversity"} {
+	for _, name := range []string{"storage", "backend"} {
 		s.Flag(fs, name, note)
 	}
 }
 
-// Flag registers one field ("storage", "backend" or "diversity") as
-// -name on fs. Each value is validated as it is parsed, so a bad one
-// fails flag parsing before any work starts.
+// Flag registers one field ("storage" or "backend") as -name on fs.
+// Each value is validated as it is parsed, so a bad one fails flag
+// parsing before any work starts.
 func (s *RunSpec) Flag(fs *flag.FlagSet, name, note string) {
 	f := specFlag{spec: s}
 	var usage, dflt string
@@ -108,10 +96,6 @@ func (s *RunSpec) Flag(fs *flag.FlagSet, name, note string) {
 	case "backend":
 		f.field = func(r *RunSpec) *string { return &r.Backend }
 		usage, dflt = "solver backend: auto|"+strings.Join(backend.Names(), "|"), "auto means straight"
-	case "diversity":
-		f.field = func(r *RunSpec) *string { return &r.Diversity }
-		usage = "DABS pool admission spec: key=value list over radius,buckets,min, or 'off'"
-		dflt = "unset means defaults: admission off"
 	default:
 		panic(fmt.Sprintf("core: RunSpec has no field %q", name))
 	}

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"abs/internal/diversity"
 )
 
 func TestRunSpecOver(t *testing.T) {
@@ -16,14 +14,14 @@ func TestRunSpecOver(t *testing.T) {
 		upper, lower, want RunSpec
 	}{
 		{RunSpec{}, RunSpec{}, RunSpec{}},
-		{RunSpec{Storage: "auto", Backend: "auto", Diversity: "auto"}, RunSpec{}, RunSpec{}},
-		{RunSpec{}, RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=4"},
-			RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=4"}},
-		{RunSpec{Storage: "auto", Backend: "race"}, RunSpec{Storage: "dense", Backend: "tabu", Diversity: "off"},
-			RunSpec{Storage: "dense", Backend: "race", Diversity: "off"}},
+		{RunSpec{Storage: "auto", Backend: "auto"}, RunSpec{}, RunSpec{}},
+		{RunSpec{}, RunSpec{Storage: "sparse", Backend: "tabu"},
+			RunSpec{Storage: "sparse", Backend: "tabu"}},
+		{RunSpec{Storage: "auto", Backend: "race"}, RunSpec{Storage: "dense", Backend: "tabu"},
+			RunSpec{Storage: "dense", Backend: "race"}},
 		// A set upper field wins without the lower one being looked at.
-		{RunSpec{Diversity: "off"}, RunSpec{Diversity: "radius=banana", Backend: "auto"},
-			RunSpec{Diversity: "off"}},
+		{RunSpec{Backend: "tabu"}, RunSpec{Backend: "banana", Storage: "auto"},
+			RunSpec{Backend: "tabu"}},
 	} {
 		if got := tc.upper.Over(tc.lower); got != tc.want {
 			t.Errorf("%+v.Over(%+v) = %+v, want %+v", tc.upper, tc.lower, got, tc.want)
@@ -32,24 +30,19 @@ func TestRunSpecOver(t *testing.T) {
 }
 
 func TestRunSpecApply(t *testing.T) {
-	radius8, err := diversity.ParseSpec("radius=8,buckets=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{Storage: StorageDense, Backend: BackendRace, Diversity: diversity.Spec{Radius: 3, Buckets: 5, MinPerBucket: 2}}
+	base := Options{Storage: StorageDense, Backend: BackendRace}
 	for _, tc := range []struct {
 		spec    RunSpec
 		want    Options
 		wantErr string
 	}{
 		{spec: RunSpec{}, want: base},
-		{spec: RunSpec{Storage: "auto", Backend: "auto", Diversity: "auto"}, want: base},
-		{spec: RunSpec{Storage: "sparse", Backend: "tabu", Diversity: "radius=8,buckets=4"},
-			want: Options{Storage: StorageSparse, Backend: BackendTabu, Diversity: radius8}},
+		{spec: RunSpec{Storage: "auto", Backend: "auto"}, want: base},
+		{spec: RunSpec{Storage: "sparse", Backend: "tabu"},
+			want: Options{Storage: StorageSparse, Backend: BackendTabu}},
+		{spec: RunSpec{Backend: "straight"}, want: Options{Storage: StorageDense, Backend: BackendStraight}},
 		{spec: RunSpec{Storage: "columnar"}, wantErr: "unknown storage"},
 		{spec: RunSpec{Backend: "columnar"}, wantErr: "registered: "},
-		{spec: RunSpec{Diversity: "radius=banana"}, wantErr: "radius"},
-		{spec: RunSpec{Diversity: "floor=0.2"}, wantErr: "unknown spec key"},
 	} {
 		o := base
 		err := tc.spec.Apply(&o)
@@ -66,9 +59,9 @@ func TestRunSpecApply(t *testing.T) {
 			t.Errorf("%+v: Apply: %v", tc.spec, err)
 			continue
 		}
-		if o.Storage != tc.want.Storage || o.Backend != tc.want.Backend || o.Diversity != tc.want.Diversity {
-			t.Errorf("%+v: Apply gave %v/%v/%v, want %v/%v/%v", tc.spec,
-				o.Storage, o.Backend, o.Diversity, tc.want.Storage, tc.want.Backend, tc.want.Diversity)
+		if o.Storage != tc.want.Storage || o.Backend != tc.want.Backend {
+			t.Errorf("%+v: Apply gave %v/%v, want %v/%v", tc.spec,
+				o.Storage, o.Backend, tc.want.Storage, tc.want.Backend)
 		}
 	}
 	if err := (RunSpec{Backend: "columnar"}).Validate(); !errors.Is(err, ErrUnknownBackend) {
@@ -82,10 +75,10 @@ func TestRunSpecJSON(t *testing.T) {
 		t.Errorf("zero RunSpec marshals to %s, %v; want {}", b, err)
 	}
 	var r RunSpec
-	if err := json.Unmarshal([]byte(`{"storage":"dense","backend":"tabu","diversity":"off"}`), &r); err != nil {
+	if err := json.Unmarshal([]byte(`{"storage":"dense","backend":"tabu"}`), &r); err != nil {
 		t.Fatal(err)
 	}
-	if r != (RunSpec{Storage: "dense", Backend: "tabu", Diversity: "off"}) {
+	if r != (RunSpec{Storage: "dense", Backend: "tabu"}) {
 		t.Errorf("decoded %+v", r)
 	}
 }
@@ -98,18 +91,17 @@ func TestRunSpecFlags(t *testing.T) {
 		r.Flags(fs, "")
 		return r, fs.Parse(args)
 	}
-	r, err := parse("-storage", "sparse", "-backend", "race", "-diversity", "radius=8,buckets=4")
+	r, err := parse("-storage", "sparse", "-backend", "race")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r != (RunSpec{Storage: "sparse", Backend: "race", Diversity: "radius=8,buckets=4"}) {
+	if r != (RunSpec{Storage: "sparse", Backend: "race"}) {
 		t.Errorf("parsed %+v", r)
 	}
 	for _, args := range [][]string{
 		{"-storage", "columnar"},
 		{"-backend", "columnar"},
-		{"-diversity", "turbo=1"},
-		{"-diversity", "floor=0.2"},
+		{"-diversity", "radius=8"},
 	} {
 		if _, err := parse(args...); err == nil {
 			t.Errorf("%v accepted", args)
@@ -119,7 +111,7 @@ func TestRunSpecFlags(t *testing.T) {
 	var only RunSpec
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	only.Flag(fs, "backend", "note")
-	if fs.Lookup("storage") != nil || fs.Lookup("diversity") != nil {
+	if fs.Lookup("storage") != nil {
 		t.Error("Flag registered more than the named field")
 	}
 	if u := fs.Lookup("backend").Usage; !strings.Contains(u, "(note)") || !strings.Contains(u, "tabu") {

@@ -126,6 +126,28 @@ func TestQuickPoolInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
+func TestPoolWouldAdmitAgreesWithInsert(t *testing.T) {
+	// The ingest gate's prefilter calls WouldAdmit and then Insert; the
+	// two must never disagree, with or without the duplicate ablation
+	// toggle.
+	for _, allowDup := range []bool{false, true} {
+		r := rng.New(7)
+		p := NewPool(6, 5) // tiny space: plenty of duplicate collisions
+		p.SetAllowDuplicates(allowDup)
+		for i := 0; i < 400; i++ {
+			x := bitvec.Random(6, r)
+			e := int64(r.Intn(20) - 10)
+			want := p.WouldAdmit(x, e)
+			if got := p.Insert(x, e); got != want {
+				t.Fatalf("allowDup=%v step %d: WouldAdmit=%v, Insert=%v", allowDup, i, want, got)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("allowDup=%v step %d: %v", allowDup, i, err)
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {

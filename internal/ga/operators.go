@@ -25,11 +25,6 @@ type Config struct {
 	// exists only for the ablation that measures how much the guard
 	// contributes (§2.2.1); leave it false for real solving.
 	AllowDuplicatePool bool
-	// Policy, when non-nil, is installed on the pool before seeding so
-	// every insertion — including the random seeds — passes through the
-	// same admission rule (see Pool.SetPolicy). Nil keeps plain
-	// elitist admission.
-	Policy AdmissionPolicy
 }
 
 // DefaultConfig returns the operator mix used by the solver: mostly
@@ -86,7 +81,6 @@ func NewHost(n int, cfg Config, r *rng.Rand) (*Host, error) {
 	}
 	h := &Host{cfg: cfg, pool: NewPool(n, cfg.PoolSize), r: r}
 	h.pool.SetAllowDuplicates(cfg.AllowDuplicatePool)
-	h.pool.SetPolicy(cfg.Policy)
 	h.pool.SeedRandom(r)
 	return h, nil
 }

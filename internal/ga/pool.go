@@ -49,59 +49,8 @@ type Pool struct {
 	// for the ablation study that quantifies the guard's value (§2.2.1
 	// argues distinctness prevents premature convergence).
 	allowDuplicates bool
-	policy          AdmissionPolicy
 	obs             PoolObserver
 }
-
-// Decision is an AdmissionPolicy's ruling on one candidate offered to
-// the pool.
-type Decision struct {
-	// Admit reports whether the candidate may enter the pool.
-	Admit bool
-	// Evict lists the indices of resident entries to remove before the
-	// candidate is inserted, in ascending order. A near-duplicate
-	// replacement evicts the displaced neighbours; a diverse admission
-	// into a full pool evicts exactly one victim. Empty means the pool
-	// has room (or the candidate was rejected).
-	Evict []int
-}
-
-// AdmissionPolicy extends the pool's admission rule beyond plain
-// elitism. When installed, every Insert and WouldAdmit consults
-// Decide with the same arguments — the one seam both share, so a
-// prefilter verdict (the ingest gate's WouldAdmit) always agrees with
-// the Insert that follows it. Decide must not mutate the pool; exact
-// duplicates (same vector, same energy) are filtered by the pool
-// itself before the policy is consulted, honouring the duplicate
-// ablation toggle.
-//
-// internal/diversity implements the Hamming-distance policy of Diverse
-// Adaptive Bulk Search (arXiv 2207.03069) against this interface.
-type AdmissionPolicy interface {
-	Decide(p *Pool, x *bitvec.Vector, e int64) Decision
-}
-
-// PolicyChecker is the optional invariant hook of an AdmissionPolicy:
-// when the installed policy implements it, CheckInvariants includes
-// the policy's own pool invariants (e.g. no near-duplicate pairs, the
-// distance-bucket structure) in its verdict.
-type PolicyChecker interface {
-	CheckPool(p *Pool) error
-}
-
-// SetPolicy installs (or, with nil, removes) an admission policy. The
-// pool is single-owner; installing a policy mid-run applies it to
-// subsequent insertions only.
-func (p *Pool) SetPolicy(pol AdmissionPolicy) { p.policy = pol }
-
-// Policy returns the installed admission policy, nil when the pool is
-// running plain elitism.
-func (p *Pool) Policy() AdmissionPolicy { return p.policy }
-
-// AllowsDuplicates reports whether the distinctness guard is disabled
-// (the §2.2.1 ablation toggle); admission policies consult it so their
-// near-duplicate handling agrees with the pool's own duplicate rule.
-func (p *Pool) AllowsDuplicates() bool { return p.allowDuplicates }
 
 // PoolObserver receives pool admission traffic: every Insert outcome
 // and every eviction a full pool performs to make room. The core
@@ -150,11 +99,10 @@ func (p *Pool) SeedRandom(r *rng.Rand) {
 			want = int(space)
 		}
 	}
-	// Bounded attempts: a diversity policy may reject random seeds that
-	// land too close to residents, and on small instances the space may
-	// simply not hold `want` mutually distant vectors. Starting with a
-	// partially filled pool is fine — inserts refill it; an unbounded
-	// loop would hang.
+	// Bounded attempts: when want is close to 2ⁿ, random draws keep
+	// hitting residents, and finding the last few distinct vectors by
+	// chance can take arbitrarily long. Starting with a partially filled
+	// pool is fine — inserts refill it; an unbounded loop would hang.
 	for attempts := 0; len(p.entries) < want && attempts < 64*want; attempts++ {
 		p.Insert(bitvec.Random(p.n, r), UnknownEnergy)
 	}
@@ -187,11 +135,10 @@ func less(aE int64, aX *bitvec.Vector, bE int64, bX *bitvec.Vector) bool {
 	return aX.Compare(bX) < 0
 }
 
-// InsertPos returns the index Insert would place (x, e) at in the
+// insertPos returns the index Insert would place (x, e) at in the
 // current energy order — the binary-search position over the
-// (energy, vector) comparator. Admission policies use it to compare a
-// candidate against only the residents it would outrank.
-func (p *Pool) InsertPos(x *bitvec.Vector, e int64) int {
+// (energy, vector) comparator.
+func (p *Pool) insertPos(x *bitvec.Vector, e int64) int {
 	return sort.Search(len(p.entries), func(i int) bool {
 		return !less(p.entries[i].E, p.entries[i].X, e, x)
 	})
@@ -205,11 +152,9 @@ func (p *Pool) isDuplicate(pos int, x *bitvec.Vector, e int64) bool {
 }
 
 // Insert adds x with energy e. It returns false without modifying the
-// pool when x is already present, or when admission fails: under plain
-// elitism, a full pool rejects anything no better than its worst;
-// under an installed AdmissionPolicy the policy decides, and may evict
-// entries other than the worst (near-duplicate replacement, bucket-
-// preserving eviction). Insert takes ownership of x.
+// pool when x is already present, or when the pool is full and x is no
+// better than its worst entry; otherwise a full pool drops its worst.
+// Insert takes ownership of x.
 //
 // The position is found by binary search in O(log m) comparisons
 // (§2.2.1/§3.1 Step 3).
@@ -217,15 +162,12 @@ func (p *Pool) Insert(x *bitvec.Vector, e int64) bool {
 	if x.Len() != p.n {
 		panic(fmt.Sprintf("ga: inserting %d-bit vector into %d-bit pool", x.Len(), p.n))
 	}
-	pos := p.InsertPos(x, e)
+	pos := p.insertPos(x, e)
 	if p.isDuplicate(pos, x, e) {
 		if p.obs != nil {
 			p.obs.PoolRejected(e)
 		}
 		return false // duplicate: keep the pool distinct
-	}
-	if p.policy != nil {
-		return p.insertWithPolicy(x, e)
 	}
 	if len(p.entries) == p.cap {
 		if pos == len(p.entries) {
@@ -253,67 +195,17 @@ func (p *Pool) Insert(x *bitvec.Vector, e int64) bool {
 	return true
 }
 
-// insertWithPolicy runs the policy path of Insert: ask the installed
-// policy, apply its evictions (descending, so earlier indices stay
-// valid), then place the candidate at its sorted position.
-func (p *Pool) insertWithPolicy(x *bitvec.Vector, e int64) bool {
-	d := p.policy.Decide(p, x, e)
-	if !d.Admit {
-		if p.obs != nil {
-			p.obs.PoolRejected(e)
-		}
-		return false
-	}
-	for i := len(d.Evict) - 1; i >= 0; i-- {
-		idx := d.Evict[i]
-		if idx < 0 || idx >= len(p.entries) {
-			continue // defensive: a policy bug must not corrupt the pool
-		}
-		evicted := p.entries[idx].E
-		p.entries = append(p.entries[:idx], p.entries[idx+1:]...)
-		if p.obs != nil {
-			p.obs.PoolEvicted(evicted)
-		}
-	}
-	if len(p.entries) == p.cap {
-		// The policy admitted into a full pool without making room;
-		// refuse rather than exceed capacity.
-		if p.obs != nil {
-			p.obs.PoolRejected(e)
-		}
-		return false
-	}
-	pos := p.InsertPos(x, e)
-	p.entries = append(p.entries, Entry{})
-	copy(p.entries[pos+1:], p.entries[pos:len(p.entries)-1])
-	p.entries[pos] = Entry{X: x, E: e}
-	if p.obs != nil {
-		p.obs.PoolInserted(e, len(p.entries))
-	}
-	return true
-}
-
 // WouldAdmit reports whether Insert(x, e) would modify the pool,
-// without modifying it: false for duplicates and for candidates the
-// admission rule turns away (under plain elitism, entries no better
-// than a full pool's worst; under an installed AdmissionPolicy,
-// whatever the policy rejects — both paths consult the exact same
-// Decide call Insert uses, so the prefilter and the insertion always
-// agree). The host's ingest gate uses it to skip validating
-// publications that would be rejected anyway.
+// without modifying it: false for duplicates and for entries no better
+// than a full pool's worst. The host's ingest gate uses it to skip
+// validating publications that would be rejected anyway.
 func (p *Pool) WouldAdmit(x *bitvec.Vector, e int64) bool {
 	if x.Len() != p.n {
 		return false
 	}
-	pos := p.InsertPos(x, e)
+	pos := p.insertPos(x, e)
 	if p.isDuplicate(pos, x, e) {
 		return false
-	}
-	if p.policy != nil {
-		d := p.policy.Decide(p, x, e)
-		// Mirror insertWithPolicy's capacity backstop: an admission
-		// that would leave no room is a rejection there too.
-		return d.Admit && (len(p.entries)-len(d.Evict) < p.cap)
 	}
 	return len(p.entries) < p.cap || pos < len(p.entries)
 }
@@ -321,9 +213,7 @@ func (p *Pool) WouldAdmit(x *bitvec.Vector, e int64) bool {
 // Contains reports whether an identical vector with the same energy is
 // resident; it exists for tests.
 func (p *Pool) Contains(x *bitvec.Vector, e int64) bool {
-	pos := sort.Search(len(p.entries), func(i int) bool {
-		return !less(p.entries[i].E, p.entries[i].X, e, x)
-	})
+	pos := p.insertPos(x, e)
 	return pos < len(p.entries) && p.entries[pos].E == e && p.entries[pos].X.Equal(x)
 }
 
@@ -341,11 +231,6 @@ func (p *Pool) CheckInvariants() error {
 	}
 	if len(p.entries) > p.cap {
 		return fmt.Errorf("ga: pool over capacity: %d > %d", len(p.entries), p.cap)
-	}
-	if pc, ok := p.policy.(PolicyChecker); ok {
-		if err := pc.CheckPool(p); err != nil {
-			return err
-		}
 	}
 	return nil
 }

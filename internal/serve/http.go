@@ -74,10 +74,9 @@ type jobRequest struct {
 	// MaxDevices caps the job's fair share of the fleet (0 = no cap).
 	MaxDevices int `json:"max_devices,omitempty"`
 	// RunSpec carries "backend" (a registered name; GET /v1/backends
-	// lists them) and "diversity" (a spec string such as
-	// "radius=8,buckets=4", or "off"); unset inherits the service
-	// default, and a bad value gets a 400. Storage is service-wide, so
-	// a body that names "storage" gets a 400 too.
+	// lists them); unset inherits the service default, and a bad value
+	// gets a 400. Storage is service-wide, so a body that names
+	// "storage" gets a 400 too.
 	core.RunSpec
 }
 

@@ -255,7 +255,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", `{"random": {"n": 8}, "max_flips": 10, "frobnicate": 1}`},
 		{"unknown backend", `{"random": {"n": 8}, "max_flips": 10, "backend": "columnar"}`},
 		{"per-job storage", `{"random": {"n": 8}, "max_flips": 10, "storage": "dense"}`},
-		{"removed diversity key", `{"random": {"n": 8}, "max_flips": 10, "diversity": "floor=0.2"}`},
+		{"removed diversity setting", `{"random": {"n": 8}, "max_flips": 10, "diversity": "radius=8,buckets=4"}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {
@@ -296,7 +296,8 @@ func TestHTTPInlineProblem(t *testing.T) {
 
 // TestHTTPBackendSelection submits under an explicit backend, checks
 // the result reports it, that an unknown name is a 400 naming the
-// registered set, and that GET /v1/backends lists the registry.
+// registered set, and that GET /v1/backends lists the registry and
+// reports live per-backend unit counts while a race job runs.
 func TestHTTPBackendSelection(t *testing.T) {
 	ts, _ := newTestServer(t, testConfig(1))
 	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 3}, "time": "200ms", "backend": "tabu"}`)
@@ -348,37 +349,6 @@ func TestHTTPBackendSelection(t *testing.T) {
 		if b.Name == "" || b.Description == "" {
 			t.Errorf("backend entry incomplete: %+v", b)
 		}
-	}
-}
-
-// TestHTTPDiversitySpec submits under an explicit DABS spec, checks a
-// malformed spec is rejected at submit time with a 400 naming the bad
-// key, and that GET /v1/backends reports live per-backend unit counts
-// while a race job runs.
-func TestHTTPDiversitySpec(t *testing.T) {
-	ts, _ := newTestServer(t, testConfig(1))
-
-	// A valid spec rides the job spec end to end.
-	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2,buckets=4"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit with diversity: %d", code)
-	}
-	waitJob(t, ts, j.ID, "completion", func(j jobJSON) bool { return j.State == StateDone })
-
-	// A malformed spec is a 400 at submit, not a later failure.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "diversity": "radius=banana"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad diversity spec: %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body.String(), "radius") {
-		t.Errorf("400 body does not name the bad key: %s", body.String())
 	}
 
 	// While a race job runs, /v1/backends exposes its unit split: the

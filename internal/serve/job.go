@@ -52,10 +52,9 @@ type JobSpec struct {
 	// Seed overrides the default host seed when non-zero.
 	Seed uint64
 
-	// RunSpec picks the job's solver backend ("straight", "tabu", ...)
-	// and DABS diversity tuning ("radius=8,buckets=4", "off", ...).
-	// Unset fields inherit the service's default options; bad values
-	// are rejected at submit time. Storage is service-wide
+	// RunSpec picks the job's solver backend ("straight", "tabu", ...).
+	// Unset, it inherits the service's default options; a bad value is
+	// rejected at submit time. Storage is service-wide
 	// (Config.Defaults), so a job that sets it is rejected too.
 	core.RunSpec
 

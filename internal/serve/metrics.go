@@ -34,10 +34,6 @@ type serveMetrics struct {
 	backendInserted     telemetry.CounterVec // label: backend
 	backendImprovements telemetry.CounterVec // label: backend
 
-	// DABS pool gauge, refreshed from the live engines of running jobs
-	// by the service's refresher goroutine.
-	bucketsOccupied *telemetry.Gauge
-
 	tracer *telemetry.Tracer
 }
 
@@ -80,18 +76,8 @@ func newServeMetrics(reg *telemetry.Registry, tr *telemetry.Tracer) *serveMetric
 		backendImprovements: reg.CounterVec("abs_backend_improvements_total",
 			"admitted publications that strictly improved their run's best energy, by producing backend",
 			"backend"),
-		bucketsOccupied: reg.Gauge("abs_pool_distance_buckets_occupied",
-			"Hamming-distance buckets holding at least one GA pool entry (largest figure over running jobs)"),
 		tracer: tr,
 	}
-}
-
-// poolBuckets sets the occupied-distance-buckets gauge.
-func (m *serveMetrics) poolBuckets(occupied int) {
-	if m == nil {
-		return
-	}
-	m.bucketsOccupied.SetInt(occupied)
 }
 
 // stage records one pipeline-stage latency (queue wait, run time).

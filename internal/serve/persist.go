@@ -45,8 +45,9 @@ type jobRecord struct {
 	Seed            uint64 `json:"seed,omitempty"`
 	MaxDevices      int    `json:"max_devices,omitempty"`
 	SubmittedUnixMS int64  `json:"submitted_unix_ms,omitempty"`
-	// RunSpec adds the "backend" and "diversity" keys; a record that
-	// lacks one (older journals carry no diversity) restores it unset.
+	// RunSpec adds the "backend" key; a record that lacks it restores
+	// it unset. Keys no field names, such as the "diversity" key older
+	// journals carry, are ignored.
 	core.RunSpec
 
 	// Done records.

@@ -42,9 +42,9 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	}
 
 	// Job 2 has an hour of budget: it cannot finish before the crash.
-	// Its backend and diversity choices must survive the restart.
+	// Its backend choice must survive the restart.
 	p2 := testProblem(40, 2)
-	run2 := core.RunSpec{Backend: "tabu", Diversity: "radius=8,buckets=4"}
+	run2 := core.RunSpec{Backend: "tabu"}
 	j2, err := s1.Submit(context.Background(), p2, JobSpec{Name: "long", MaxDuration: time.Hour, RunSpec: run2})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +94,8 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.RunSpec != run2 {
 		t.Errorf("restored spec = %+v, want the original", got)
 	}
-	if opt := r2.opt; opt.Backend != core.BackendTabu || opt.Diversity.Radius != 8 || opt.Diversity.Buckets != 4 {
-		t.Errorf("restored job runs backend %v diversity %v, want tabu radius=8 buckets=4", opt.Backend, opt.Diversity)
+	if opt := r2.opt; opt.Backend != core.BackendTabu {
+		t.Errorf("restored job runs backend %v, want tabu", opt.Backend)
 	}
 
 	// The ID counter resumed: a new submission must not collide.
@@ -227,11 +227,10 @@ func TestRequeuedJobRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestRestoreBackendOnlyRecord plants a spec record in the journal
-// format written before diversity was recorded, with its "backend" key,
-// and checks it restores under that backend and runs to completion.
-func TestRestoreBackendOnlyRecord(t *testing.T) {
-	p := testProblem(40, 8)
+// problemJSON returns p's text form as a JSON string literal, for
+// planting raw journal records.
+func problemJSON(t *testing.T, p *qubo.Problem) string {
+	t.Helper()
 	var text strings.Builder
 	if err := qubo.WriteText(&text, p); err != nil {
 		t.Fatal(err)
@@ -240,7 +239,15 @@ func TestRestoreBackendOnlyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := `{"kind":"spec","id":"job-3","name":"old","problem":` + string(problem) +
+	return string(problem)
+}
+
+// TestRestoreBackendOnlyRecord plants a spec record in the journal
+// format that carries only a "backend" run setting, and checks it
+// restores under that backend and runs to completion.
+func TestRestoreBackendOnlyRecord(t *testing.T) {
+	p := testProblem(40, 8)
+	rec := `{"kind":"spec","id":"job-3","name":"old","problem":` + problemJSON(t, p) +
 		`,"max_flips":2000,"backend":"tabu","submitted_unix_ms":1700000000000}`
 	mem := store.NewMem()
 	if err := mem.Append(jobsLog, []byte(rec)); err != nil {
@@ -269,13 +276,50 @@ func TestRestoreBackendOnlyRecord(t *testing.T) {
 	}
 }
 
-// TestRestoreFailedRecord: a done record with an error restores as a
+// TestRestoreDiversityRecord plants a spec record from a journal that
+// still names the removed "diversity" run setting, and checks the key
+// is ignored like any unknown journal key: the job restores with an
+// unset run spec and runs to completion on the default backend.
+func TestRestoreDiversityRecord(t *testing.T) {
+	p := testProblem(40, 10)
+	rec := `{"kind":"spec","id":"job-5","problem":` + problemJSON(t, p) +
+		`,"max_flips":2000,"diversity":"radius=8,buckets=4","submitted_unix_ms":1700000000000}`
+	mem := store.NewMem()
+	if err := mem.Append(jobsLog, []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(storedConfig(1, mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, ok := s.Job("job-5")
+	if !ok {
+		t.Fatal("planted job not restored")
+	}
+	if got := j.Spec(); got.MaxFlips != 2000 || got.RunSpec != (core.RunSpec{}) {
+		t.Errorf("restored spec = %+v, want 2000 flips and an unset run spec", got)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("restored job did not finish: %v", err)
+	}
+	if res.Backend != core.BackendStraight || p.Energy(res.Best) != res.BestEnergy {
+		t.Errorf("restored job ran backend %v with energy %d (recomputed %d), want straight and a consistent result",
+			res.Backend, res.BestEnergy, p.Energy(res.Best))
+	}
+}
+
+// TestRestoreDegradedRecords: a done record with an error restores as a
 // queryable failure, and a spec whose problem text rotted or whose run
 // spec no longer validates restores as failed rather than vanishing or
-// crashing the restore.
+// crashing the restore. A spec naming the removed "diversity" setting
+// is not degraded: it restores and runs.
 func TestRestoreDegradedRecords(t *testing.T) {
+	p := testProblem(16, 9)
 	var sb strings.Builder
-	if err := qubo.WriteText(&sb, testProblem(16, 9)); err != nil {
+	if err := qubo.WriteText(&sb, p); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -292,8 +336,11 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	append_(jobRecord{Kind: "spec", ID: "job-1", Problem: "not a qubo file"})
 	append_(jobRecord{Kind: "spec", ID: "job-2", Problem: "also garbage"})
 	append_(jobRecord{Kind: "spec", ID: "job-3", Problem: text, RunSpec: core.RunSpec{Backend: "columnar"}})
-	// A spec journaled with a since-removed diversity key.
-	append_(jobRecord{Kind: "spec", ID: "job-4", Problem: text, RunSpec: core.RunSpec{Diversity: "radius=8,floor=0.2"}})
+	// A spec journaled with the removed diversity setting.
+	if err := mem.Append(jobsLog, []byte(`{"kind":"spec","id":"job-4","problem":`+problemJSON(t, p)+
+		`,"max_flips":2000,"diversity":"radius=8,floor=0.2"}`)); err != nil {
+		t.Fatal(err)
+	}
 	append_(jobRecord{Kind: "done", ID: "job-2", State: string(StateFailed), Error: "engine exploded"})
 
 	s, err := New(storedConfig(1, mem))
@@ -327,7 +374,7 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	if !ok {
 		t.Fatal("removed-diversity-key job vanished")
 	}
-	if st := j4.Status(); st.State != StateFailed || !strings.Contains(st.Error, "floor") {
-		t.Errorf("removed-diversity-key spec = %s %q, want failed naming the key", st.State, st.Error)
+	if _, err := j4.Wait(context.Background()); err != nil {
+		t.Errorf("removed-diversity-key spec failed: %v; want it to run on the plain pool", err)
 	}
 }

@@ -212,7 +212,6 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	go s.scheduler()
-	go s.diversityRefresher()
 	if restored != nil {
 		for _, q := range restored.requeue {
 			s.resubmit(q)
@@ -286,48 +285,6 @@ func (s *Service) BackendUnits() map[string]int {
 		}
 	}
 	return out
-}
-
-// diversityRefresher keeps the serve-plane DABS gauge
-// (abs_pool_distance_buckets_occupied) live while jobs run. Engine
-// reads are lock-free atomics, so a sub-second cadence costs nothing.
-func (s *Service) diversityRefresher() {
-	if s.metrics == nil {
-		return
-	}
-	t := time.NewTicker(250 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.schedDone:
-			return
-		case <-t.C:
-			s.refreshDiversity()
-		}
-	}
-}
-
-// refreshDiversity sets the occupied-distance-buckets gauge to the
-// largest figure over running jobs.
-func (s *Service) refreshDiversity() {
-	buckets, running := 0, false
-	for _, j := range s.Jobs() {
-		if j.Status().State != StateRunning {
-			continue
-		}
-		eng := j.engine()
-		if eng == nil {
-			continue
-		}
-		running = true
-		if b := eng.OccupiedDistanceBuckets(); b > buckets {
-			buckets = b
-		}
-	}
-	if !running {
-		return // idle service: leave the last run's gauge in place
-	}
-	s.metrics.poolBuckets(buckets)
 }
 
 // Submit validates and enqueues one job. The returned Job is live:

@@ -45,6 +45,10 @@ func TestReexportedTypesAreNameable(t *testing.T) {
 	if len(stats) == 0 || occ.ActiveBlocks == 0 {
 		t.Errorf("result lacks block stats (%d) or occupancy (%+v)", len(stats), occ)
 	}
+	var units abs.BackendStat = res.BackendStats["straight"]
+	if units.Units != res.Blocks {
+		t.Errorf("straight owns %d units, want all %d blocks", units.Units, res.Blocks)
+	}
 	if snaps.Load() == 0 || lastProgress.Flips == 0 {
 		t.Errorf("progress callback: %d snapshots, last flips %d", snaps.Load(), lastProgress.Flips)
 	}
@@ -232,42 +236,5 @@ func TestReexportedDurabilityAndChaosSurface(t *testing.T) {
 	drop := abs.NewChaosTransport(abs.NewLocalTransport(c2), abs.ChaosSpec{Seed: 1, Drop: 1})
 	if _, err := drop.Heartbeat(ctx, abs.HeartbeatRequest{WorkerID: "x"}); !errors.Is(err, abs.ErrChaosInjected) {
 		t.Errorf("dropped call = %v, want ErrChaosInjected", err)
-	}
-}
-
-// TestReexportedDiversitySurface checks the DABS names: the spec type,
-// its parser and the default constructor, driven through a real
-// diversified race run whose BackendStats expose the unit split.
-func TestReexportedDiversitySurface(t *testing.T) {
-	var spec abs.DiversitySpec = abs.DefaultDiversitySpec()
-	if spec.Buckets == 0 {
-		t.Fatal("default diversity spec has no buckets")
-	}
-	parsed, err := abs.ParseDiversitySpec("radius=2,buckets=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Radius != 2 || parsed.Buckets != 4 {
-		t.Fatalf("ParseDiversitySpec = %+v", parsed)
-	}
-	if _, err := abs.ParseDiversitySpec("turbo=1"); err == nil {
-		t.Error("ParseDiversitySpec accepted an unknown key")
-	}
-
-	opt := abs.DefaultOptions()
-	opt.MaxDuration = 100 * time.Millisecond
-	opt.Backend = abs.BackendRace
-	opt.Diversity = parsed
-	res, err := abs.SolveContext(context.Background(), abs.RandomProblem(32, 11), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stat abs.BackendStat // the per-backend tally, by name
-	total := 0
-	for _, stat = range res.BackendStats {
-		total += stat.Units
-	}
-	if total != res.Blocks {
-		t.Errorf("race units sum %d != %d blocks", total, res.Blocks)
 	}
 }

@@ -6,7 +6,10 @@
 #   * a job that names "backend": "race" runs and reports backend
 #     "race" in its result;
 #   * a bogus backend name is a 400 whose body lists the registry;
-#   * /metrics carries the per-backend abs_backend_* ingest counters.
+#   * /metrics carries the per-backend abs_backend_* ingest counters;
+#   * GET /v1/backends shows a running race job split between straight
+#     and tabu (g mod 2), and the two counts sum to the job's units
+#     (its result's "blocks").
 # Needs only the Go toolchain and curl.
 set -eu
 
@@ -109,6 +112,57 @@ grep -q '^abs_backend_inserted_total{backend=' "$TMP/metrics.prom" ||
 grep -q '^abs_backend_improvements_total{backend=' "$TMP/metrics.prom" ||
 	fail "/metrics missing abs_backend_improvements_total series"
 echo "backend-smoke: metrics ok ($(grep -c '^abs_backend_' "$TMP/metrics.prom") abs_backend_* samples)"
+
+# A long race job: while it runs, its units land on the members, never
+# on race itself.
+SUBMIT=$(curl -sf -X POST "http://$BASE/v1/jobs" \
+	-d '{"random": {"n": 64, "seed": 7}, "time": "20s", "backend": "race", "name": "backend-smoke-split"}') ||
+	fail "split job submit"
+ID=$(printf '%s' "$SUBMIT" | sed -n 's/.*"id":[[:space:]]*"\([^"]*\)".*/\1/p')
+[ -n "$ID" ] || fail "submit reply has no job id: $SUBMIT"
+
+# units NAME prints NAME's unit count from the /v1/backends body in $LIST.
+units() {
+	printf '%s' "$LIST" | tr -d '\n' | tr '{' '\n' |
+		sed -n "s/.*\"name\":[[:space:]]*\"$1\".*\"units\":[[:space:]]*\([0-9]*\).*/\1/p"
+}
+
+SPLIT_OK=
+i=0
+while [ $i -lt 50 ]; do
+	LIST=$(curl -sf "http://$BASE/v1/backends") || fail "GET /v1/backends"
+	STRAIGHT=$(units straight)
+	TABU=$(units tabu)
+	RACE=$(units race)
+	if [ "${STRAIGHT:-0}" -gt 0 ] && [ "${TABU:-0}" -gt 0 ]; then
+		[ "${RACE:-0}" -eq 0 ] || fail "race itself holds $RACE units: $LIST"
+		DIFF=$((STRAIGHT - TABU))
+		[ "$DIFF" -eq 0 ] || [ "$DIFF" -eq 1 ] ||
+			fail "split straight=$STRAIGHT tabu=$TABU is not g mod 2: $LIST"
+		SPLIT_OK=1
+		break
+	fi
+	sleep 0.3
+	i=$((i + 1))
+done
+[ -n "$SPLIT_OK" ] || fail "GET /v1/backends never showed the race job split across straight and tabu"
+echo "backend-smoke: race split straight=$STRAIGHT tabu=$TABU"
+
+# The job is still within budget: cancel it, then check the split
+# covered every unit it ran.
+curl -sf -X DELETE "http://$BASE/v1/jobs/$ID" >/dev/null || fail "job cancel"
+BLOCKS=
+i=0
+while [ $i -lt 50 ]; do
+	BLOCKS=$(curl -sf "http://$BASE/v1/jobs/$ID" | sed -n 's/.*"blocks":[[:space:]]*\([0-9]*\).*/\1/p')
+	[ -n "$BLOCKS" ] && break
+	sleep 0.2
+	i=$((i + 1))
+done
+[ -n "$BLOCKS" ] || fail "cancelled job never reported its blocks"
+[ $((STRAIGHT + TABU)) -eq "$BLOCKS" ] ||
+	fail "split straight=$STRAIGHT + tabu=$TABU != job units $BLOCKS"
+echo "backend-smoke: split covers all $BLOCKS units"
 
 kill "$SRV_PID" 2>/dev/null || true
 wait "$SRV_PID" 2>/dev/null || true
