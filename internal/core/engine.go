@@ -497,10 +497,11 @@ func (e *Engine) ShouldStop(now time.Time) bool {
 	return false
 }
 
-// Finish shuts the run down — detaches every remaining device, drains
-// the last publications and assembles the Result. cancelled marks a run
-// ended by caller cancellation rather than a stop condition. Finish is
-// idempotent: later calls return the same Result. Pump goroutine only.
+// Finish shuts the run down — detaches every remaining device (each is
+// told to stop before any is waited on), drains the last publications
+// and assembles the Result. cancelled marks a run ended by caller
+// cancellation rather than a stop condition. Finish is idempotent:
+// later calls return the same Result. Pump goroutine only.
 func (e *Engine) Finish(cancelled bool) *Result {
 	e.mu.Lock()
 	if e.finished {
@@ -509,14 +510,15 @@ func (e *Engine) Finish(cancelled bool) *Result {
 		return res
 	}
 	e.finished = true
-	runs := e.runs
+	runs := make([]*gpusim.DeviceRun, 0, len(e.runs))
+	for _, r := range e.runs {
+		runs = append(runs, r)
+	}
 	e.runs = make(map[int]*gpusim.DeviceRun)
 	e.attached = 0
 	e.devGauge.Store(0)
 	e.mu.Unlock()
-	for _, r := range runs {
-		r.Stop()
-	}
+	gpusim.StopAll(runs...)
 
 	// Final drain: blocks publish once more on shutdown; keep the
 	// gating and per-block attribution consistent with the live path

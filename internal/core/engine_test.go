@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -140,5 +141,67 @@ func TestEngineSnapshotIsLive(t *testing.T) {
 	}
 	if res.Flips == 0 {
 		t.Error("no flips recorded")
+	}
+}
+
+// TestFinishStopsEveryDeviceBeforeWaiting pins Finish's shutdown
+// order: every attached device's blocks are told to stop before Finish
+// waits on any of them. Each block lingers after it sees its stop
+// flag, as a block finishing a long round would; were the devices
+// stopped one after another, the second device's blocks would see
+// their flag only after the first device's blocks had returned, and
+// keep the CPU all that time.
+func TestFinishStopsEveryDeviceBeforeWaiting(t *testing.T) {
+	const linger = 200 * time.Millisecond
+	o := tinyOptions()
+	o.NumGPUs = 2
+	o.MaxDuration = 30 * time.Second // Finish is called directly
+	eng, err := NewEngine(randomProblem(32, 5), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var sawStop, returned []time.Time
+	eng.blockFn = func(bc gpusim.BlockContext) {
+		for !bc.Stopped() {
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		sawStop = append(sawStop, time.Now())
+		mu.Unlock()
+		time.Sleep(linger)
+		mu.Lock()
+		returned = append(returned, time.Now())
+		mu.Unlock()
+	}
+	fleet, err := gpusim.NewFleet(eng.Options().Device, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := eng.Attach(fleet.Device(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Finish(false)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if want := 2 * eng.BlocksPerDevice(); len(sawStop) != want || len(returned) != want {
+		t.Fatalf("%d blocks saw the stop flag and %d returned, want %d", len(sawStop), len(returned), want)
+	}
+	lastSaw, firstReturn := sawStop[0], returned[0]
+	for _, s := range sawStop {
+		if s.After(lastSaw) {
+			lastSaw = s
+		}
+	}
+	for _, r := range returned {
+		if r.Before(firstReturn) {
+			firstReturn = r
+		}
+	}
+	if !lastSaw.Before(firstReturn) {
+		t.Errorf("a block saw its stop flag %v after the first block returned", lastSaw.Sub(firstReturn))
 	}
 }

@@ -41,6 +41,8 @@ type runMetrics struct {
 	rejectPool     *telemetry.Counter
 	rejectStruct   *telemetry.Counter
 	rejectEnergy   *telemetry.Counter
+	recheckDiff    *telemetry.Counter
+	recheckFull    *telemetry.Counter
 
 	poolSize     *telemetry.Gauge
 	poolInserted *telemetry.Counter
@@ -139,6 +141,10 @@ func newRunMetrics(reg *telemetry.Registry, tracer *telemetry.Tracer, sc telemet
 		elapsed: reg.Gauge("abs_elapsed_seconds",
 			"wall-clock time since launch"),
 	}
+	recheckVec := reg.CounterVec("abs_ingest_rechecks_total",
+		"exact host-side energy rechecks, by path: diff from the slot's last verified vector, or full from zero", "path")
+	m.recheckDiff = recheckVec.With("diff")
+	m.recheckFull = recheckVec.With("full")
 	flipVec := reg.CounterVec("abs_flips_total", "accepted bit flips", "device")
 	roundVec := reg.CounterVec("abs_rounds_total", "completed publish rounds", "device")
 	pubVec := reg.CounterVec("abs_solutions_published_total", "solutions published by device blocks", "device")
@@ -222,6 +228,19 @@ func (m *runMetrics) ingestReject(s gpusim.Solution, c *telemetry.Counter, reaso
 		Kind: telemetry.EventIngestReject, Device: s.Device, Block: s.Block,
 		Energy: s.Energy, Detail: reason,
 	})
+}
+
+// recheck counts one energy recheck by the path it took.
+func (m *runMetrics) recheck(path recheckPath) {
+	if m == nil {
+		return
+	}
+	switch path {
+	case recheckDiff:
+		m.recheckDiff.Inc()
+	case recheckFull:
+		m.recheckFull.Inc()
+	}
 }
 
 // backendIngest attributes one admitted publication to the solver

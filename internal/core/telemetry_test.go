@@ -139,6 +139,17 @@ func verifyTelemetry(t *testing.T, reg *telemetry.Registry, tracer *telemetry.Tr
 		t.Errorf("telemetry quarantines %v+%v != Result.Quarantined %d",
 			structural, mismatch, res.Quarantined)
 	}
+	// Every recheck either admitted its publication or quarantined it
+	// for its energy; the path split says which rows it read.
+	diff, _ := s.Counter("abs_ingest_rechecks_total", "diff")
+	full, _ := s.Counter("abs_ingest_rechecks_total", "full")
+	if acc, _ := s.Counter("abs_ingest_accepted_total", ""); diff+full != acc+mismatch {
+		t.Errorf("rechecks diff %v + full %v != accepted %v + energy-quarantined %v",
+			diff, full, acc, mismatch)
+	}
+	if !strings.Contains(scrape, `abs_ingest_rechecks_total{path="full"}`) {
+		t.Error(`live scrape missing abs_ingest_rechecks_total{path="full"}`)
+	}
 	if resp, _ := s.Counter("abs_block_respawns_total", ""); resp != float64(res.Recovered) {
 		t.Errorf("telemetry respawns %v != Result.Recovered %d", resp, res.Recovered)
 	}

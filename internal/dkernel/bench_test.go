@@ -56,3 +56,24 @@ func BenchmarkMinVal(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRowDot times one energy-recheck row sum at the benchmark's
+// dense-2048 row length and at the paper's 32k-bit scale.
+func BenchmarkRowDot(b *testing.B) {
+	for _, n := range []int{2048, 32768} {
+		r := rand.New(rand.NewSource(int64(n)))
+		row, c := randCoeffs(r, n)
+		b.Run(fmt.Sprintf("dispatched-n%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * n))
+			for i := 0; i < b.N; i++ {
+				RowDot(row, c)
+			}
+		})
+		b.Run(fmt.Sprintf("portable-n%d", n), func(b *testing.B) {
+			b.SetBytes(int64(2 * n))
+			for i := 0; i < b.N; i++ {
+				rowDotGeneric(row, c)
+			}
+		})
+	}
+}

@@ -32,6 +32,10 @@
 // tiles are scanned in ascending index order with a strictly-smaller
 // comparison — the same first-occurrence tie-break. The agreement
 // tests and the qubo-level fuzz target are the evidence.
+//
+// RowDot (with its operand builder Coeffs) is the one primitive that
+// serves the host rather than the flip loop: the weighted row sum the
+// ingest gate's exact energy recheck reads once per differing bit.
 package dkernel
 
 import (
@@ -211,6 +215,89 @@ func MinFirst[T Delta](d []T) (int, T) {
 	v := MinVal(d)
 	return FirstEq(d, v), v
 }
+
+// RowDot returns Σ_j row[j]·c[j] exactly: the weighted row sum behind
+// the ingest gate's energy recheck, where c holds the coefficients
+// x_j + y_j ∈ {0, 1, 2} of a vector pair (qubo.Problem.EnergyFrom).
+// len(c) must be at least len(row). The AVX2 body multiplies int16
+// pairs into int32 lanes (VPMADDWD) over chunks of at most
+// rowDotChunk elements and widens each chunk's sum to int64, so no
+// lane can overflow for any weights and any c in {0, 1, 2}.
+func RowDot(row, c []int16) int64 {
+	c = c[:len(row)]
+	var s int64
+	if hasAccel {
+		for len(row) >= rowDotStep {
+			m := min(len(row), rowDotChunk) &^ (rowDotStep - 1)
+			s += rowDotAccel(row[:m], c[:m])
+			row, c = row[m:], c[m:]
+		}
+	}
+	return s + rowDotGeneric(row, c)
+}
+
+// rowDotStep is the AVX2 body's stride: two 16-lane int16 vectors.
+const rowDotStep = 32
+
+// rowDotChunk bounds one AVX2 call. Each int32 lane of its two
+// accumulators collects rowDotChunk/16 products |w·c| ≤ 2·32768 = 2¹⁶,
+// and the reduction adds the two accumulators lane-wise before
+// widening: rowDotChunk/8 products, 2²⁹ at most. The array length
+// below is negative, and the package fails to compile, if a larger
+// chunk could overflow.
+const rowDotChunk = 1 << 16
+
+var _ [math.MaxInt32 - rowDotChunk/8*(2*32768)]struct{}
+
+func rowDotGeneric(row, c []int16) int64 {
+	c = c[:len(row)]
+	var s int64
+	for j, w := range row {
+		s += int64(w) * int64(c[j])
+	}
+	return s
+}
+
+// Coeffs sets c[j] = x_j + y_j ∈ {0, 1, 2} for j in [0, len(c)), where
+// x and y are bit vectors packed LSB first into 64-bit words: the
+// coefficient operand of RowDot for a vector pair. Four coefficients
+// are written per 64-bit store, from a table of nibbles spread into
+// int16 lanes; two lanes of at most 1 add without a carry. A c that
+// is not 8-byte aligned (a make([]int16, n) slice always is) takes the
+// scalar loop throughout.
+func Coeffs(c []int16, x, y []uint64) {
+	n4 := len(c) &^ 3
+	if n4 > 0 && uintptr(unsafe.Pointer(&c[0]))%8 != 0 {
+		n4 = 0
+	}
+	if n4 > 0 {
+		c4 := unsafe.Slice((*uint64)(unsafe.Pointer(&c[0])), n4/4)
+		for wi := 0; wi*16 < len(c4); wi++ {
+			xw, yw := x[wi], y[wi]
+			for k := range c4[wi*16 : min(wi*16+16, len(c4))] {
+				c4[wi*16+k] = nibbleLanes[xw&15] + nibbleLanes[yw&15]
+				xw, yw = xw>>4, yw>>4
+			}
+		}
+	}
+	for j := n4; j < len(c); j++ {
+		c[j] = int16(x[j/64]>>uint(j%64)&1 + y[j/64]>>uint(j%64)&1)
+	}
+}
+
+// nibbleLanes[b] is the four bits of b as four int16 lanes of 0 or 1,
+// laid out as the machine lays out a [4]int16, so the table is right on
+// either byte order.
+var nibbleLanes = func() (tbl [16]uint64) {
+	for b := range tbl {
+		var lanes [4]int16
+		for t := range lanes {
+			lanes[t] = int16(b >> t & 1)
+		}
+		tbl[b] = *(*uint64)(unsafe.Pointer(&lanes))
+	}
+	return tbl
+}()
 
 // Accelerated reports whether an architecture-specific kernel is
 // active for int32 register files (false means the portable Go loops

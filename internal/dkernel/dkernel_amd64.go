@@ -29,6 +29,12 @@ func firstEqAccel(d []int32, v int32) int {
 	return int(firstEq32AVX2(&d[0], int64(len(d)), v))
 }
 
+// rowDotAccel requires len(row) to be a positive multiple of
+// rowDotStep and at most rowDotChunk.
+func rowDotAccel(row, c []int16) int64 {
+	return rowDot16AVX2(&row[0], &c[0], int64(len(row)))
+}
+
 // Assembly routines (flip_avx2_amd64.s).
 //
 //go:noescape
@@ -39,6 +45,9 @@ func minVal32AVX2(d *int32, n int64) int32
 
 //go:noescape
 func firstEq32AVX2(d *int32, n int64, v int32) int64
+
+//go:noescape
+func rowDot16AVX2(row *int16, c *int16, n int64) int64
 
 // CPUID probes (cpu_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

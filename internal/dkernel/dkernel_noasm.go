@@ -21,3 +21,7 @@ func minValAccel(d []int32) int32 {
 func firstEqAccel(d []int32, v int32) int {
 	panic("dkernel: no accelerated kernel on this architecture")
 }
+
+func rowDotAccel(row, c []int16) int64 {
+	panic("dkernel: no accelerated kernel on this architecture")
+}

@@ -336,3 +336,117 @@ func TestNameIsSelfDescribing(t *testing.T) {
 		t.Errorf("portable kernel reports name %q", name)
 	}
 }
+
+// randCoeffs returns a row of full-range int16 weights (every seventh
+// one −32768) and coefficients c ∈ {0, 1, 2}: the shape of one
+// energy-recheck row sum.
+func randCoeffs(r *rand.Rand, n int) (row, c []int16) {
+	row = make([]int16, n)
+	c = make([]int16, n)
+	for i := range row {
+		row[i] = int16(r.Intn(1<<16) - 1<<15)
+		if i%7 == 0 {
+			row[i] = math.MinInt16
+		}
+		c[i] = int16(r.Intn(3))
+	}
+	return row, c
+}
+
+func TestRowDotAgainstGeneric(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	sizes := []int{100, 1000, 2048, 2049}
+	for n := 0; n <= 3*rowDotStep+1; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		row, c := randCoeffs(r, n)
+		want := rowDotGeneric(row, c)
+		if got := RowDot(row, c); got != want {
+			t.Errorf("n=%d: RowDot %d, want %d", n, got, want)
+		}
+		// c may be longer than the row; only its prefix counts.
+		if got := RowDot(row, append(c, 2, 2)); got != want {
+			t.Errorf("n=%d: RowDot with a longer c %d, want %d", n, got, want)
+		}
+		if Accelerated() && n > 0 && n%rowDotStep == 0 {
+			if got := rowDotAccel(row, c); got != want {
+				t.Errorf("n=%d: AVX2 body %d, want %d", n, got, want)
+			}
+		}
+	}
+}
+
+// TestRowDotAtExtremes pins the no-overflow argument at the values
+// that stress it: every weight −32768 (or 32767) against c = 2, at the
+// largest qubo row (MaxBits = 32768, whose sum is exactly −2³¹), at one
+// full AVX2 chunk, and past several chunks with a ragged end.
+func TestRowDotAtExtremes(t *testing.T) {
+	for _, n := range []int{32768, rowDotChunk, 3*rowDotChunk + 37} {
+		for _, w := range []int16{math.MinInt16, math.MaxInt16} {
+			row := make([]int16, n)
+			c := make([]int16, n)
+			for i := range row {
+				row[i], c[i] = w, 2
+			}
+			want := 2 * int64(w) * int64(n)
+			if got := rowDotGeneric(row, c); got != want {
+				t.Fatalf("n=%d w=%d: portable %d, want %d", n, w, got, want)
+			}
+			if got := RowDot(row, c); got != want {
+				t.Errorf("n=%d w=%d: RowDot %d, want %d", n, w, got, want)
+			}
+			if Accelerated() && n <= rowDotChunk {
+				if got := rowDotAccel(row, c); got != want {
+					t.Errorf("n=%d w=%d: AVX2 body %d, want %d", n, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRowDot checks the dispatched row sum against the portable body
+// bit for bit on arbitrary weights and coefficients: the AVX2 body
+// against the portable one on hosts that have it.
+func FuzzRowDot(f *testing.F) {
+	f.Add([]byte{0x00, 0x80, 0xff, 0x7f}, []byte{2, 2})
+	f.Add(make([]byte, 2*rowDotStep+6), []byte{1, 0, 2})
+	f.Fuzz(func(t *testing.T, w []byte, cs []byte) {
+		n := len(w) / 2
+		row := make([]int16, n)
+		c := make([]int16, n)
+		for i := range row {
+			row[i] = int16(uint16(w[2*i]) | uint16(w[2*i+1])<<8)
+			if len(cs) > 0 {
+				c[i] = int16(cs[i%len(cs)] % 3)
+			}
+		}
+		want := rowDotGeneric(row, c)
+		if got := RowDot(row, c); got != want {
+			t.Fatalf("n=%d: RowDot %d, portable %d", n, got, want)
+		}
+	})
+}
+
+func TestCoeffs(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for n := 0; n <= 200; n++ {
+		x := make([]uint64, (n+63)/64+1)
+		y := make([]uint64, len(x))
+		for i := range x {
+			x[i], y[i] = r.Uint64(), r.Uint64()
+		}
+		buf := make([]int16, n+1)
+		// The aligned slice takes the packed stores, the offset one the
+		// scalar loop; both must give the same coefficients.
+		for _, c := range [][]int16{buf[:n], buf[1:]} {
+			Coeffs(c, x, y)
+			for j, v := range c {
+				want := int16(x[j/64]>>uint(j%64)&1 + y[j/64]>>uint(j%64)&1)
+				if v != want {
+					t.Fatalf("n=%d j=%d: c=%d, want %d", n, j, v, want)
+				}
+			}
+		}
+	}
+}

@@ -171,3 +171,44 @@ none:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// func rowDot16AVX2(row *int16, c *int16, n int64) int64
+//
+// Σ row[j]·c[j] over j in [0, n); n is a positive multiple of 32 and at
+// most rowDotChunk (dkernel.go carries the no-overflow bound for that
+// chunk). VPMADDWD multiplies int16 pairs and adds adjacent products
+// into int32 lanes; two accumulators take alternate 16-element halves.
+// The lane-wise sum of the accumulators is widened to int64 before the
+// horizontal reduction.
+TEXT ·rowDot16AVX2(SB), NOSPLIT, $0-32
+	MOVQ row+0(FP), SI
+	MOVQ c+8(FP), DX
+	MOVQ n+16(FP), CX
+	SHRQ $5, CX             // 32-element steps
+	VPXOR Y14, Y14, Y14
+	VPXOR Y12, Y12, Y12
+dotloop:
+	VMOVDQU (DX), Y0
+	VPMADDWD (SI), Y0, Y0
+	VPADDD Y0, Y14, Y14
+	VMOVDQU 32(DX), Y1
+	VPMADDWD 32(SI), Y1, Y1
+	VPADDD Y1, Y12, Y12
+	ADDQ $64, SI
+	ADDQ $64, DX
+	DECQ CX
+	JNZ dotloop
+
+	VPADDD Y12, Y14, Y14
+	VEXTRACTI128 $1, Y14, X9
+	VPMOVSXDQ X14, Y0       // lanes 0..3 as int64
+	VPMOVSXDQ X9, Y1        // lanes 4..7 as int64
+	VPADDQ Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPADDQ X1, X0, X0
+	MOVQ X0, AX
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET

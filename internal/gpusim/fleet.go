@@ -209,10 +209,20 @@ func (r *DeviceRun) Incarnation(b int) int {
 // them (including respawned incarnations) to return. It is idempotent
 // and safe to call concurrently; no Respawn can start a new
 // incarnation once Stop has begun.
-func (r *DeviceRun) Stop() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	r.stop.Store(true)
-	r.wg.Wait()
+func (r *DeviceRun) Stop() { StopAll(r) }
+
+// StopAll stops several launches at once: every launch's blocks are
+// signalled before any launch is waited on, so no device keeps
+// computing while another device's blocks wind down. Each launch gets
+// Stop's guarantees.
+func StopAll(runs ...*DeviceRun) {
+	for _, r := range runs {
+		r.mu.Lock()
+		r.closed = true
+		r.mu.Unlock()
+		r.stop.Store(true)
+	}
+	for _, r := range runs {
+		r.wg.Wait()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"abs/internal/bitvec"
+	"abs/internal/dkernel"
 )
 
 // Phi is the φ function of Eq. (3): φ(0) = +1, φ(1) = −1. Equivalently
@@ -35,6 +36,49 @@ func (p *Problem) Energy(x *bitvec.Vector) int64 {
 		e += 2 * rowSum
 	}
 	return e
+}
+
+// EnergyFrom returns E(x) exactly from a reference vector y whose
+// energy ey is known. Because W is symmetric (Validate),
+//
+//	E(x) − E(y) = (x−y)ᵀW(x+y) = Σ_{i∈D} s_i · Σ_j W_ij (x_j + y_j)
+//
+// with D = x ⊕ y and s_i = x_i − y_i = 1 − 2y_i: only the |D| rows of
+// the differing bits are read, each by one dkernel.RowDot, and there is
+// no pairwise term. A nil y is the zero vector (ey must then be 0),
+// which makes D the set bits of x: the full evaluation, O(n·|x|). c is
+// scratch of length n for the coefficients x_j + y_j. Energy stays the
+// independent O(n²) oracle this is tested against.
+func (p *Problem) EnergyFrom(x, y *bitvec.Vector, ey int64, c []int16) int64 {
+	p.checkLen(x)
+	xw, yw := x.Words(), refWords(x, y)
+	dkernel.Coeffs(c[:p.n], xw, yw)
+	e := ey
+	for wi, w := range xw {
+		for d := w ^ yw[wi]; d != 0; d &= d - 1 {
+			b := bits.TrailingZeros64(d)
+			r := dkernel.RowDot(p.Row(wi*64+b), c)
+			if w>>uint(b)&1 == 1 {
+				e += r
+			} else {
+				e -= r
+			}
+		}
+	}
+	return e
+}
+
+// refWords returns the words of EnergyFrom's reference y: y's own, or
+// for a nil y the zero vector's, as many as x has. y must be as long
+// as x.
+func refWords(x, y *bitvec.Vector) []uint64 {
+	if y == nil {
+		return make([]uint64, len(x.Words()))
+	}
+	if y.Len() != x.Len() {
+		panic("qubo: vector length does not match problem size")
+	}
+	return y.Words()
 }
 
 // Delta evaluates Δ_k(X) = E(flip_k(X)) − E(X) directly in O(n) using

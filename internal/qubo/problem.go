@@ -12,6 +12,8 @@
 //
 //   - Problem: the weight matrix with symmetric accessors,
 //   - Energy / DeltaAll: direct O(n²) and O(n) evaluation (Eqs. 1, 4),
+//   - EnergyFrom: exact E(X) from a reference vector of known energy,
+//     reading only the rows of the bits where the two differ,
 //   - State: the incremental engine that maintains E(X) and all Δ_k(X)
 //     across single-bit flips in O(n) per flip — the mechanism behind the
 //     paper's O(1) search efficiency (Eqs. 5–6),

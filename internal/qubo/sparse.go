@@ -3,6 +3,7 @@ package qubo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"abs/internal/bitvec"
 )
@@ -95,6 +96,37 @@ func (s *Sparse) Energy(x *bitvec.Vector) int64 {
 			j := int(s.nbrIdx[p])
 			if j > i && x.Bit(j) == 1 {
 				e += 2 * int64(s.nbrW[p])
+			}
+		}
+	}
+	return e
+}
+
+// EnergyFrom is Problem.EnergyFrom over the adjacency lists: E(x)
+// exactly from a reference y of known energy ey (nil y is the zero
+// vector, ey 0), reading the CSR rows of the bits where x and y differ,
+// O(Σ_{i∈x⊕y} deg i). Row i's sum Σ_j W_ij (x_j + y_j) is its diagonal
+// (x_i + y_i = 1 on a differing bit) plus its neighbour terms.
+func (s *Sparse) EnergyFrom(x, y *bitvec.Vector, ey int64) int64 {
+	if x.Len() != s.n {
+		panic("qubo: vector length does not match problem size")
+	}
+	xw, yw := x.Words(), refWords(x, y)
+	e := ey
+	for wi, w := range xw {
+		for d := w ^ yw[wi]; d != 0; d &= d - 1 {
+			b := bits.TrailingZeros64(d)
+			i := wi*64 + b
+			r := int64(s.diag[i])
+			for p := s.start[i]; p < s.start[i+1]; p++ {
+				j := s.nbrIdx[p]
+				cj := xw[j/64]>>uint(j%64)&1 + yw[j/64]>>uint(j%64)&1
+				r += int64(cj) * int64(s.nbrW[p])
+			}
+			if w>>uint(b)&1 == 1 {
+				e += r
+			} else {
+				e -= r
 			}
 		}
 	}

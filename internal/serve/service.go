@@ -668,8 +668,9 @@ func (s *Service) startJob(st *schedState, j *Job) {
 // core.SolveContext, with the device set managed externally by the
 // scheduler. The end-of-job handshake: ask the scheduler to release
 // the allocation (so no rebalance grants those devices away mid-
-// detach), detach, finish the engine, settle the job, then hand the
-// devices back to the free pool.
+// detach), finish the engine — which stops every attached device
+// before waiting on any — settle the job, then hand the devices back
+// to the free pool.
 func (s *Service) run(j *Job) {
 	eng := j.engine()
 	poll := eng.Options().PollInterval
@@ -688,9 +689,6 @@ func (s *Service) run(j *Job) {
 	reply := make(chan []*gpusim.Device, 1)
 	s.events <- evRelease{job: j, reply: reply}
 	devs := <-reply
-	for _, dev := range devs {
-		eng.Detach(dev)
-	}
 	res := eng.Finish(cancelled)
 	state := StateDone
 	if cancelled {
